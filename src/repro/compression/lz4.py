@@ -27,13 +27,10 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 from repro.compression.base import CompressionResult, StatefulCompressor, StepCost
 from repro.errors import CompressionError, CorruptStreamError
-
-try:  # optional fast path; the scalar encoder is the reference
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _np = None
 
 __all__ = ["Lz4"]
 
@@ -70,31 +67,25 @@ _S4_ACCESSES_PER_TOKEN = 0.3
 _DESCRIPTOR_BYTES_PER_PROBE = 5
 
 
-def _hash4(data: bytes, position: int, index_bits: int) -> int:
-    """Multiplicative hash of the 4 bytes at ``position``."""
-    word = int.from_bytes(data[position:position + 4], "little")
-    return ((word * 2654435761) & 0xFFFFFFFF) >> (32 - index_bits)
+def _hash_all(data: bytes, limit: int, index_bits: int) -> list:
+    """Multiplicative hash of the 4 little-endian bytes at every
+    position in ``[0, limit)``: ``((word * 2654435761) & 0xFFFFFFFF)
+    >> (32 - index_bits)``.
 
-
-def _hash_all(data: bytes, limit: int, index_bits: int):
-    """Vectorized :func:`_hash4` for every position in ``[0, limit)``.
-
-    Pure integer arithmetic in uint32 (multiplication wraps exactly like
-    ``& 0xFFFFFFFF``), so each entry equals the scalar hash bit for bit;
-    returns ``None`` without numpy and the encoder falls back to
-    :func:`_hash4` per probe. Positions up to ``limit - 1`` read 4 bytes
-    each, which stays in bounds because ``limit`` excludes the
+    One numpy pass in uint32, whose multiplication wraps exactly like
+    the mask. Positions up to ``limit - 1`` read 4 bytes each, which
+    stays in bounds because ``limit`` excludes the
     :data:`_MATCH_SEARCH_MARGIN` tail.
     """
-    if _np is None or limit <= 0:
-        return None
-    raw = _np.frombuffer(data, dtype=_np.uint8)
-    words = raw[0:limit].astype(_np.uint32)
-    words |= raw[1:limit + 1].astype(_np.uint32) << _np.uint32(8)
-    words |= raw[2:limit + 2].astype(_np.uint32) << _np.uint32(16)
-    words |= raw[3:limit + 3].astype(_np.uint32) << _np.uint32(24)
-    words *= _np.uint32(2654435761)
-    words >>= _np.uint32(32 - index_bits)
+    if limit <= 0:
+        return []
+    raw = np.frombuffer(data, dtype=np.uint8)
+    words = raw[0:limit].astype(np.uint32)
+    words |= raw[1:limit + 1].astype(np.uint32) << np.uint32(8)
+    words |= raw[2:limit + 2].astype(np.uint32) << np.uint32(16)
+    words |= raw[3:limit + 3].astype(np.uint32) << np.uint32(24)
+    words *= np.uint32(2654435761)
+    words >>= np.uint32(32 - index_bits)
     return words.tolist()
 
 
@@ -147,13 +138,8 @@ class Lz4(StatefulCompressor):
         position = 0
         search_limit = n - _MATCH_SEARCH_MARGIN
         hashes = _hash_all(data, search_limit, self.index_bits)
-        if hashes is not None:
-            hash_at = hashes.__getitem__
-        else:
-            index_bits = self.index_bits
-            hash_at = lambda p: _hash4(data, p, index_bits)  # noqa: E731
         while position < search_limit:
-            slot = hash_at(position)
+            slot = hashes[position]
             probes += 1
             candidate = table[slot]
             table[slot] = position

@@ -108,10 +108,8 @@ def _scan_entry_points() -> None:
     if _entry_points_scanned:
         return
     _entry_points_scanned = True
-    try:
-        from importlib import metadata
-    except ImportError:  # pragma: no cover - py<3.8
-        return
+    from importlib import metadata
+
     try:
         entries = metadata.entry_points(group=ENTRY_POINT_GROUP)
     except TypeError:  # pragma: no cover - legacy API without group=

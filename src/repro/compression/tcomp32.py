@@ -28,7 +28,7 @@ import struct
 import numpy as np
 
 from repro.compression.base import CompressionResult, StatelessCompressor, StepCost
-from repro.compression.bitio import BitReader, BitWriter, pack_codes
+from repro.compression.bitio import BitReader, pack_codes
 from repro.errors import CompressionError, CorruptStreamError
 
 __all__ = ["Tcomp32"]
@@ -55,8 +55,8 @@ _S1_DESCRIPTOR_BYTES = 5
 def _vectorized_encode(words: np.ndarray):
     """Build all ``(n-1, value)`` codes in one numpy pass and pack them
     with :func:`~repro.compression.bitio.pack_codes`. Returns
-    ``(packed bytes, total significant bits)`` — byte-identical to the
-    BitWriter reference path.
+    ``(packed bytes, total significant bits)``; the bit stream is
+    exactly Algorithm 2's ``(5-bit length, n-bit value)`` sequence.
     """
     if words.size == 0:
         return b"", 0
@@ -76,18 +76,13 @@ def _vectorized_encode(words: np.ndarray):
 class Tcomp32(StatelessCompressor):
     """Stateless 32-bit null-suppression stream compressor.
 
-    Two byte-identical encoder implementations are provided: a
-    vectorized numpy path (default — packs every word's
-    ``(5-bit length, n-bit value)`` code with shifted 64-bit windows
-    OR-ed into the output buffer) and a reference loop over
-    :class:`~repro.compression.bitio.BitWriter`. ``fast=False`` selects
-    the reference path; the test suite asserts their equivalence.
+    The encoder is vectorized: every word's ``(5-bit length, n-bit
+    value)`` code is packed with shifted 64-bit windows OR-ed into the
+    output buffer. The test suite checks it byte for byte against a
+    per-word bit-writer loop.
     """
 
     name = "tcomp32"
-
-    def __init__(self, fast: bool = True) -> None:
-        self.fast = fast
 
     def compress(self, data: bytes) -> CompressionResult:
         if len(data) % _WORD_BYTES:
@@ -95,19 +90,8 @@ class Tcomp32(StatelessCompressor):
                 f"tcomp32 requires input in 32-bit words, got {len(data)} bytes"
             )
         words = np.frombuffer(data, dtype=np.uint32)
-        if self.fast:
-            body, total_significant_bits = _vectorized_encode(words)
-            payload = _HEADER.pack(len(words)) + body
-        else:
-            writer = BitWriter()
-            writer.write_bytes(_HEADER.pack(len(words)))
-            total_significant_bits = 0
-            for number in words.tolist():
-                n = 1 if number == 0 else number.bit_length()
-                total_significant_bits += n
-                writer.write(n - 1, _LENGTH_FIELD_BITS)
-                writer.write(number, n)
-            payload = writer.getvalue()
+        body, total_significant_bits = _vectorized_encode(words)
+        payload = _HEADER.pack(len(words)) + body
 
         word_count = len(words)
         mean_bits = total_significant_bits / word_count if word_count else 0.0

@@ -42,11 +42,6 @@ from repro.simcore.boards import BoardSpec
 from repro.simcore.hardware import CoreType, replication_factor
 from repro.simcore.interconnect import Path
 
-try:  # numpy is optional here: the scalar path below is self-sufficient
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
-
 __all__ = ["CostModel", "CalibratedCurves", "calibrate_curves"]
 
 #: default safety factor applied to L_set when checking Eq 2
@@ -100,9 +95,11 @@ class _CostTables:
 
     Every value is produced by the model's own scalar helpers
     (``_eta``/``_zeta``, ``stage_kappa``, the communication table), so a
-    table lookup returns the *same float object chain* the scalar path
-    would compute — the fast path changes where numbers are read from,
-    never how they are made. ``stamp`` snapshots the mutable inputs
+    table lookup returns the same float those helpers would compute —
+    the tables change where numbers are read from, never how they are
+    made. Plain lists: indexing them per replica is cheaper than the
+    piecewise-curve walk they replace, and cheaper than building numpy
+    rows per plan. ``stamp`` snapshots the mutable inputs
     (``kappa_scale``, ``frequency_map``); :meth:`CostModel._tables`
     rebuilds when the PID controller drifts them. ``latency_scale`` is a
     direct multiplier applied at evaluation time, so it stays live-read
@@ -111,7 +108,7 @@ class _CostTables:
 
     __slots__ = (
         "stamp", "kappas", "instructions", "output_bytes",
-        "eta", "zeta", "eta_rows", "zeta_rows",
+        "eta", "zeta",
         "comm_unit", "comm_overhead", "comm_energy",
         "_replication_latency", "_replication_energy",
         "_latency_overhead", "_energy_overhead",
@@ -141,8 +138,6 @@ class _CostTables:
                 zeta_row[core_id] = model._zeta(kappa, core_id)
             self.eta.append(eta_row)
             self.zeta.append(zeta_row)
-        self.eta_rows = [_np.array(row) for row in self.eta]
-        self.zeta_rows = [_np.array(row) for row in self.zeta]
         communication = model.communication
         self.comm_unit = [[0.0] * size for _ in range(size)]
         self.comm_overhead = [[0.0] * size for _ in range(size)]
@@ -251,9 +246,8 @@ class CostModel:
         with that path's unit cost, per-message overhead and transfer
         energy scaled, mirroring
         :meth:`repro.simcore.interconnect.InterconnectSpec.degraded`.
-        The vectorized lookup tables are invalidated explicitly because
-        their stamp only tracks κ/frequency drift, not the
-        communication table.
+        The lookup tables are invalidated explicitly because their stamp
+        only tracks κ/frequency drift, not the communication table.
         """
         if factor <= 0:
             raise ConfigurationError("degradation factor must be positive")
@@ -299,19 +293,16 @@ class CostModel:
             return base
         return base * core.zeta_at(kappa, frequency) / core.zeta_at(kappa, None)
 
-    def _tables(self) -> Optional[_CostTables]:
+    def _tables(self) -> _CostTables:
         """The precomputed lookup tables, rebuilt on κ/frequency drift.
 
-        Returns ``None`` without numpy, putting every entry point on the
-        original scalar path. The stamp check is cheap in the common
+        The stamp check is cheap in the common
         case (no adaptive drift, no static frequency map: two empty
         snapshots), so branch-and-bound search — which calls
         :meth:`compute_latency`/:meth:`task_energy` thousands of times
         per plan — pays one dict/tuple compare per call instead of a
         piecewise-curve walk.
         """
-        if _np is None:
-            return None
         stamp = (
             ()
             if not self.kappa_scale
@@ -334,17 +325,9 @@ class CostModel:
     ) -> float:
         """l_comp of one replica, µs per byte of batch (Eq 6)."""
         tables = self._tables()
-        if tables is None:
-            kappa = self.stage_kappa(stage_index)
-            eta = self._eta(kappa, core_id)
-            instructions = self.stage_instructions(stage_index) / replicas
-            overhead = replication_factor(
-                self.board.replication_latency_overhead, replicas
-            )
-        else:
-            eta = tables.eta[stage_index][core_id]
-            instructions = tables.instructions[stage_index] / replicas
-            overhead = tables.replication_latency(replicas)
+        eta = tables.eta[stage_index][core_id]
+        instructions = tables.instructions[stage_index] / replicas
+        overhead = tables.replication_latency(replicas)
         scale = self.latency_scale.get(stage_index, 1.0)
         return scale * instructions * overhead / eta / self._batch_bytes
 
@@ -353,17 +336,9 @@ class CostModel:
     ) -> float:
         """e of one replica, µJ per byte of batch (Eq 4)."""
         tables = self._tables()
-        if tables is None:
-            kappa = self.stage_kappa(stage_index)
-            zeta = self._zeta(kappa, core_id)
-            instructions = self.stage_instructions(stage_index) / replicas
-            overhead = replication_factor(
-                self.board.replication_energy_overhead, replicas
-            )
-        else:
-            zeta = tables.zeta[stage_index][core_id]
-            instructions = tables.instructions[stage_index] / replicas
-            overhead = tables.replication_energy(replicas)
+        zeta = tables.zeta[stage_index][core_id]
+        instructions = tables.instructions[stage_index] / replicas
+        overhead = tables.replication_energy(replicas)
         return instructions * overhead / zeta / self._batch_bytes
 
     def communication_latency(
@@ -390,18 +365,12 @@ class CostModel:
         tables = self._tables()
         upstream_bytes = self.stage_output_bytes(producer_stage)
         share = upstream_bytes / replicas / len(upstream_cores)
+        unit = tables.comm_unit
+        overhead = tables.comm_overhead
         total_us = 0.0
-        if tables is None:
-            for producer_core in upstream_cores:
-                path = self.board.path_between(producer_core, core_id)
-                total_us += share * self.communication.unit_cost(path)
-                total_us += self.communication.overhead(path)
-        else:
-            unit = tables.comm_unit
-            overhead = tables.comm_overhead
-            for producer_core in upstream_cores:
-                total_us += share * unit[producer_core][core_id]
-                total_us += overhead[producer_core][core_id]
+        for producer_core in upstream_cores:
+            total_us += share * unit[producer_core][core_id]
+            total_us += overhead[producer_core][core_id]
         return total_us / self._batch_bytes
 
     def communication_energy(
@@ -424,16 +393,10 @@ class CostModel:
             producer_stage = stage_index - 1
         if producer_stage < 0 or not self.communication_aware:
             return 0.0
-        tables = self._tables()
+        energy = self._tables().comm_energy
         total_uj = 0.0
-        if tables is None:
-            for producer_core in upstream_cores:
-                path = self.board.path_between(producer_core, core_id)
-                total_uj += self.communication.energy(path)
-        else:
-            energy = tables.comm_energy
-            for producer_core in upstream_cores:
-                total_uj += energy[producer_core][core_id]
+        for producer_core in upstream_cores:
+            total_uj += energy[producer_core][core_id]
         return total_uj / self._batch_bytes
 
     # -- plan evaluation (Eqs 1-3) -------------------------------------------
@@ -441,100 +404,15 @@ class CostModel:
     def evaluate(self, plan: SchedulingPlan) -> PlanEstimate:
         """Predict L_est, E_est and feasibility of a plan.
 
-        With numpy available this assembles per-stage l_comp/e arrays in
-        a handful of elementwise ops over the precomputed η/ζ tables;
-        every operation keeps the scalar path's operand order and
-        parenthesization (elementwise numpy arithmetic on float64 is
-        IEEE-754 identical to the equivalent scalar expression), and the
-        plan-level reductions stay Python left folds — ``ordered_sum``
-        for E_est, producer-ordered loops for Eq 7 — so the result is
-        bit-for-bit the scalar path's (``tests/test_golden_identity``).
+        One scalar call chain per replica — :meth:`compute_latency`,
+        :meth:`communication_latency` per producer stage (ascending),
+        :meth:`communication_energy` and :meth:`task_energy` — over the
+        precomputed tables. The plan-level reductions are Python left
+        folds (``ordered_sum`` for E_est), so the result is
+        deterministic bit for bit (``tests/test_golden_identity``).
         """
         if plan.graph is not self.graph and plan.graph != self.graph:
             raise ConfigurationError("plan was built for a different task graph")
-        tables = self._tables()
-        if tables is None:
-            return self._evaluate_scalar(plan)
-
-        batch = self._batch_bytes
-        estimates = []
-        core_load: Dict[int, float] = {}
-        for stage_index, cores in enumerate(plan.assignments):
-            replicas = len(cores)
-            columns = list(cores)
-            instructions = tables.instructions[stage_index] / replicas
-            scale = self.latency_scale.get(stage_index, 1.0)
-            latency_numerator = (
-                scale * instructions * tables.replication_latency(replicas)
-            )
-            energy_numerator = (
-                instructions * tables.replication_energy(replicas)
-            )
-            l_comp_values = (
-                latency_numerator / tables.eta_rows[stage_index][columns]
-                / batch
-            ).tolist()
-            e_comp_values = (
-                energy_numerator / tables.zeta_rows[stage_index][columns]
-                / batch
-            ).tolist()
-
-            producer_stages = plan.graph.predecessors_of(stage_index)
-            l_comm_values = [0.0] * replicas
-            e_comm_values = [0.0] * replicas
-            if producer_stages and self.communication_aware:
-                unit = tables.comm_unit
-                overhead = tables.comm_overhead
-                comm_energy = tables.comm_energy
-                # Producer stages in ascending order, producers within a
-                # stage in assignment order — the same deterministic
-                # fold the scalar oracle performs. For chains this is
-                # one producer stage, so the accumulation is the old
-                # single-pass loop bit for bit (0.0 + x == x).
-                for producer_stage in producer_stages:
-                    upstream_cores = plan.assignments[producer_stage]
-                    share = (
-                        tables.output_bytes[producer_stage]
-                        / replicas
-                        / len(upstream_cores)
-                    )
-                    for replica_index, core_id in enumerate(cores):
-                        total_us = 0.0
-                        total_uj = 0.0
-                        for producer_core in upstream_cores:
-                            total_us += share * unit[producer_core][core_id]
-                            total_us += overhead[producer_core][core_id]
-                            total_uj += comm_energy[producer_core][core_id]
-                        l_comm_values[replica_index] += total_us / batch
-                        e_comm_values[replica_index] += total_uj / batch
-
-            kappa = tables.kappas[stage_index]
-            for replica_index, core_id in enumerate(cores):
-                l_comp = l_comp_values[replica_index]
-                estimates.append(
-                    TaskEstimate(
-                        stage_index=stage_index,
-                        replica_index=replica_index,
-                        core_id=core_id,
-                        kappa=kappa,
-                        l_comp_us_per_byte=l_comp,
-                        l_comm_us_per_byte=l_comm_values[replica_index],
-                        energy_uj_per_byte=(
-                            e_comp_values[replica_index]
-                            + e_comm_values[replica_index]
-                        ),
-                    )
-                )
-                core_load[core_id] = core_load.get(core_id, 0.0) + l_comp
-        return self._finish_estimate(plan, estimates, core_load)
-
-    def _evaluate_scalar(self, plan: SchedulingPlan) -> PlanEstimate:
-        """Reference implementation: one scalar call chain per replica.
-
-        This is the pre-vectorization code path, kept both as the
-        numpy-free fallback and as the oracle the parity tests compare
-        the fast path against.
-        """
         estimates = []
         core_load: Dict[int, float] = {}
         for stage_index, cores in enumerate(plan.assignments):

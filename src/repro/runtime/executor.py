@@ -33,7 +33,6 @@ byte-identical to an untraced run's (tests assert this).
 from __future__ import annotations
 
 import gc
-import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import (
@@ -74,7 +73,6 @@ from repro.simcore.power import EnergyMeter
 
 __all__ = [
     "ExecutionConfig",
-    "FaultSpec",
     "MechanismDynamics",
     "PipelineExecutor",
     "WindowObservation",
@@ -112,8 +110,6 @@ class ExecutionConfig:
     shared_state: bool = False
     shared_state_lock_penalty: float = 0.165
     shared_state_energy_penalty: float = 0.10
-    #: deprecated single thermal-throttling fault — use ``fault_plan``
-    fault: Optional["FaultSpec"] = None
     #: injected fault schedule (see :mod:`repro.faults`)
     fault_plan: Optional[FaultPlan] = None
 
@@ -124,55 +120,6 @@ class ExecutionConfig:
             raise ConfigurationError("need at least one repetition and batch")
         if self.warmup_batches >= self.batches_per_repetition:
             raise ConfigurationError("warmup must leave measurable batches")
-        if self.fault is not None:
-            adapted = FaultPlan(
-                events=(
-                    DvfsThrottle(
-                        core_id=self.fault.core_id,
-                        at_batch=self.fault.at_batch,
-                        frequency_mhz=self.fault.frequency_mhz,
-                    ),
-                )
-            )
-            if self.fault_plan is None:
-                warnings.warn(
-                    "ExecutionConfig.fault is deprecated; pass "
-                    "fault_plan=FaultPlan(events=(DvfsThrottle(...),)) "
-                    "instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-                object.__setattr__(self, "fault_plan", adapted)
-            elif self.fault_plan != adapted:
-                # dataclasses.replace() re-runs this hook with both
-                # fields populated; only a genuine disagreement is an
-                # error.
-                raise ConfigurationError(
-                    "fault and fault_plan disagree; drop the deprecated "
-                    "fault field"
-                )
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """A thermal-throttling fault: after ``at_batch`` batches complete,
-    ``core_id`` is capped to ``frequency_mhz`` (the SoC's thermal
-    governor stepping in).
-
-    Deprecated: :class:`~repro.faults.model.FaultPlan` with a
-    :class:`~repro.faults.model.DvfsThrottle` event is the general
-    spelling; ``ExecutionConfig(fault=...)`` still works through an
-    adapter but emits a :class:`DeprecationWarning`."""
-
-    core_id: int
-    at_batch: int
-    frequency_mhz: float
-
-    def __post_init__(self) -> None:
-        if self.at_batch < 0:
-            raise ConfigurationError("at_batch must be non-negative")
-        if self.frequency_mhz <= 0:
-            raise ConfigurationError("capped frequency must be positive")
 
 
 @dataclass(frozen=True)
@@ -192,19 +139,18 @@ class MechanismDynamics:
 class _CoreServer:
     """FIFO work server for one core inside a repetition's DES.
 
-    Two implementations share one calendar ordering (see DESIGN.md
-    "Performance engineering"):
+    A callback chain rather than a generator process: ``submit`` queues
+    the work, and an idle core is woken by a "kick" event carrying the
+    next item — the calendar position a store getter would occupy. Each
+    item then runs an optional context-switch pause, its service
+    timeout, and kicks its successor. A kicked item has left the queue,
+    so ``len(queue)`` is the backlog still waiting for the core.
 
-    * **traced** — the original generator process pulling from a named
-      :class:`Store`, so the trace keeps its ``coreN.runq`` queue-depth
-      events;
-    * **untraced** — a callback chain on the same calendar positions.
-      The store's put event fired with no observers and the getter
-      event was created back-to-back with it inside one callback, so
-      replacing the pair with a single "kick" event (and the generator
-      resumes with plain callbacks) removes no observable ordering:
-      every remaining event lands in the same bucket slot relative to
-      every foreign event.
+    With a trace recorder attached, guarded hooks report that backlog
+    as the ``coreN.runq`` depth (once at boot, on every submit and after
+    every item), the context switch after its pause, and the service
+    span at completion. The hooks only read state, so traced and
+    untraced runs schedule the same events.
     """
 
     def __init__(
@@ -232,17 +178,15 @@ class _CoreServer:
         # (frequency -> (switch_us, switch_energy)) — η/power lookups
         # for the fixed switch κ leave the hot path; DVFS refills.
         self._switch_costs: Dict[float, tuple] = {}
+        self._queue = deque()
+        self._idle = True
+        self._current = None
+        self._start_us = 0.0
         if trace is not None:
-            self.requests = Store(
-                simulator, name=f"core{core_spec.core_id}.runq"
-            )
-            simulator.process(self._serve(), name=f"core{core_spec.core_id}")
-        else:
-            self.requests = None
-            self._queue = deque()
-            self._idle = True
-            self._current = None
-            self._start_us = 0.0
+            self._runq = f"core{core_spec.core_id}.runq"
+            boot = simulator._internal_event()
+            boot.callbacks.append(self._report_depth)
+            boot.succeed(None)
 
     def fail(self, failover: "_CoreServer", penalty: float) -> None:
         """Mark the core permanently dead.
@@ -268,23 +212,35 @@ class _CoreServer:
         """Queue ``duration_us`` of occupancy drawing ``energy_uj``."""
         done = self.simulator.event(transient=True)
         item = (task_name, batch_index, duration_us, energy_uj, done)
-        if self.requests is not None:
-            self.requests.put(item, transient=True)
-            return done
-        self._queue.append(item)
         if self._idle:
             self._idle = False
-            kick = self.simulator._internal_event()
-            kick.callbacks.append(self._begin)
-            kick.succeed(None)
+            self._kick(item)
+        else:
+            self._queue.append(item)
+        if self.trace is not None:
+            self._report_depth()
         return done
 
-    # -- untraced callback chain ------------------------------------------
+    def _report_depth(self, _event=None) -> None:
+        trace = self.trace
+        if trace is not None:
+            trace.queue_depth(
+                self._runq, len(self._queue), self.simulator.now
+            )
 
-    def _begin(self, _event) -> None:
-        item = self._queue.popleft()
+    def _kick(self, item) -> None:
+        kick = self.simulator._internal_event()
+        kick.callbacks.append(self._begin)
+        kick.succeed(item)
+
+    def _begin(self, event) -> None:
+        item = event.value
         task_name, batch_index, duration, energy_uj, done = item
         if self.failed:
+            # The dead core's in-flight batch is lost; re-enqueue it on
+            # the failover server and complete the waiter when the
+            # re-execution does. No span, busy time or energy lands on
+            # this core.
             target = self.failover
             scale = (
                 self.core.eta_at(_SWITCH_KAPPA, self.frequency_mhz)
@@ -314,12 +270,19 @@ class _CoreServer:
             self.meter.record_overhead(cached[1])
             self.busy_us += cached[0]
             self._current = item
-            pause = self.simulator.timeout(cached[0], transient=True)
+            pause = self.simulator.timeout(
+                cached[0], value=cached[0], transient=True
+            )
             pause.callbacks.append(self._after_switch)
             return
         self._start(item)
 
-    def _after_switch(self, _event) -> None:
+    def _after_switch(self, event) -> None:
+        if self.trace is not None:
+            self.trace.context_switch(
+                self.core.core_id, 1.0, self.simulator.now,
+                duration_us=event.value,
+            )
         self._start(self._current)
 
     def _start(self, item) -> None:
@@ -332,9 +295,12 @@ class _CoreServer:
     def _complete(self, _event) -> None:
         task_name, batch_index, duration, energy_uj, done = self._current
         start = self._start_us
-        self.spans.append(
-            (task_name, batch_index, start, self.simulator.now)
-        )
+        end = self.simulator.now
+        self.spans.append((task_name, batch_index, start, end))
+        if self.trace is not None:
+            self.trace.span(
+                task_name, self.core.core_id, start, end, batch=batch_index
+            )
         mean_power = energy_uj / duration if duration > 0 else 0.0
         energy = self.meter.record_busy(
             self.core.core_id, start, duration, mean_power
@@ -349,88 +315,11 @@ class _CoreServer:
 
     def _next(self) -> None:
         if self._queue:
-            kick = self.simulator._internal_event()
-            kick.callbacks.append(self._begin)
-            kick.succeed(None)
+            self._kick(self._queue.popleft())
         else:
             self._idle = True
-
-    # -- traced generator server ------------------------------------------
-
-    def _serve(self):
-        # Localized once for the server's lifetime: simulator, stores,
-        # meter, core and trace never change (frequency does — it is the
-        # one attribute the loop re-reads every iteration).
-        simulator = self.simulator
-        timeout = simulator.timeout
-        requests_get = self.requests.get
-        core = self.core
-        core_id = core.core_id
-        meter = self.meter
-        trace = self.trace
-        spans = self.spans
-        energy_by_batch = self.energy_by_batch
-        # (frequency -> (switch_us, switch_energy)) — η/power lookups for
-        # the fixed switch κ leave the loop; frequency changes re-fill.
-        switch_costs = {}
-        while True:
-            item = yield requests_get(transient=True)
-            task_name, batch_index, duration, energy_uj, done = item
-            if self.failed:
-                # The dead core's in-flight batch is lost; re-enqueue it
-                # on the failover server and complete the waiter when the
-                # re-execution does. No span, busy time or energy lands
-                # on this core.
-                target = self.failover
-                scale = (
-                    core.eta_at(_SWITCH_KAPPA, self.frequency_mhz)
-                    / target.core.eta_at(
-                        _SWITCH_KAPPA, target.frequency_mhz
-                    )
-                ) * self.forward_penalty
-                forwarded = target.submit(
-                    task_name, batch_index, duration * scale,
-                    energy_uj * scale,
-                )
-                forwarded.callbacks.append(
-                    lambda _event, waiter=done: waiter.succeed(None)
-                )
-                continue
-            if self._last_task is not None and self._last_task != task_name:
-                frequency = self.frequency_mhz
-                cached_switch = switch_costs.get(frequency)
-                if cached_switch is None:
-                    switch_us = self.switch_instructions / core.eta_at(
-                        _SWITCH_KAPPA, frequency
-                    )
-                    cached_switch = (
-                        switch_us,
-                        switch_us * core.busy_power_w(_SWITCH_KAPPA, frequency),
-                    )
-                    switch_costs[frequency] = cached_switch
-                switch_us = cached_switch[0]
-                meter.record_overhead(cached_switch[1])
-                self.busy_us += switch_us
-                yield timeout(switch_us)
-                if trace is not None:
-                    trace.context_switch(
-                        core_id, 1.0, simulator.now,
-                        duration_us=switch_us,
-                    )
-            self._last_task = task_name
-            start = simulator.now
-            yield timeout(duration)
-            end = simulator.now
-            spans.append((task_name, batch_index, start, end))
-            if trace is not None:
-                trace.span(task_name, core_id, start, end, batch=batch_index)
-            mean_power = energy_uj / duration if duration > 0 else 0.0
-            energy = meter.record_busy(core_id, start, duration, mean_power)
-            self.busy_us += duration
-            energy_by_batch[batch_index] = (
-                energy_by_batch.get(batch_index, 0.0) + energy
-            )
-            done.succeed(None)
+        if self.trace is not None:
+            self._report_depth()
 
 
 @dataclass(frozen=True)

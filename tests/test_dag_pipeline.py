@@ -25,6 +25,7 @@ from repro.core.scheduler import Scheduler
 from repro.core.task import Task, TaskGraph
 from repro.datasets import get_dataset
 from repro.errors import ConfigurationError
+from tests.oracles import evaluate_reference
 
 TEST_BATCH = 8192
 RELAXED_CONSTRAINT = 60.0
@@ -201,13 +202,13 @@ class TestDagScheduling:
         assert estimate.critical_path_us_per_byte >= bottleneck * 0.999
 
     def test_scalar_oracle_matches_vectorized_on_dag(self, dag_schedule):
+        """evaluate() equals the table-free oracle on a fork-join plan."""
         result, model = dag_schedule
-        vectorized = model.evaluate(result.plan)
-        scalar = model._evaluate_scalar(result.plan)
-        assert vectorized.latency_us_per_byte == scalar.latency_us_per_byte
-        assert vectorized.energy_uj_per_byte == scalar.energy_uj_per_byte
+        tabled = model.evaluate(result.plan)
+        scalar = evaluate_reference(model, result.plan)
+        assert tabled == scalar
         assert (
-            vectorized.critical_path_us_per_byte
+            tabled.critical_path_us_per_byte
             == scalar.critical_path_us_per_byte
         )
 

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.core.plan import SchedulingPlan
-from repro.errors import ConfigurationError
-from repro.runtime.executor import (
-    ExecutionConfig,
-    FaultSpec,
-    PipelineExecutor,
-)
+from repro.faults.model import DvfsThrottle, FaultPlan
+from repro.runtime.executor import ExecutionConfig, PipelineExecutor
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +26,16 @@ def setup():
     return board, profile, plan
 
 
-def run(board, profile, plan, fault=None, batches=10):
+def throttle(core_id, at_batch, frequency_mhz):
+    """A fault plan capping one core's frequency after ``at_batch``."""
+    return FaultPlan(events=(
+        DvfsThrottle(
+            core_id=core_id, at_batch=at_batch, frequency_mhz=frequency_mhz
+        ),
+    ))
+
+
+def run(board, profile, plan, fault_plan=None, batches=10):
     executor = PipelineExecutor(
         board,
         ExecutionConfig(
@@ -39,19 +44,11 @@ def run(board, profile, plan, fault=None, batches=10):
             batches_per_repetition=batches,
             warmup_batches=2,
             noise_sigma=0.0,
-            fault=fault,
+            fault_plan=fault_plan,
         ),
     )
     per_batch = (list(profile.per_batch_step_costs) * batches)[:batches]
     return executor.run(plan, per_batch, profile.batch_size_bytes)
-
-
-class TestFaultSpec:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            FaultSpec(core_id=4, at_batch=-1, frequency_mhz=600.0)
-        with pytest.raises(ConfigurationError):
-            FaultSpec(core_id=4, at_batch=0, frequency_mhz=0.0)
 
 
 class TestThrottling:
@@ -60,7 +57,7 @@ class TestThrottling:
         healthy = run(board, profile, plan)
         faulty = run(
             board, profile, plan,
-            fault=FaultSpec(core_id=4, at_batch=3, frequency_mhz=600.0),
+            fault_plan=throttle(core_id=4, at_batch=3, frequency_mhz=600.0),
         )
         assert (
             faulty.mean_latency_us_per_byte
@@ -71,7 +68,7 @@ class TestThrottling:
         board, profile, plan = setup
         faulty = run(
             board, profile, plan,
-            fault=FaultSpec(core_id=4, at_batch=6, frequency_mhz=600.0),
+            fault_plan=throttle(core_id=4, at_batch=6, frequency_mhz=600.0),
         )
         healthy = run(board, profile, plan)
         faulty_batches = faulty.repetitions[0].batches
@@ -88,7 +85,7 @@ class TestThrottling:
         healthy = run(board, profile, plan)
         faulty = run(
             board, profile, plan,
-            fault=FaultSpec(core_id=5, at_batch=2, frequency_mhz=600.0),
+            fault_plan=throttle(core_id=5, at_batch=2, frequency_mhz=600.0),
         )
         assert faulty.mean_latency_us_per_byte == pytest.approx(
             healthy.mean_latency_us_per_byte, rel=1e-6
@@ -100,53 +97,11 @@ class TestThrottling:
         healthy = run(board, profile, plan)
         capped_high = run(
             board, profile, plan,
-            fault=FaultSpec(core_id=4, at_batch=2, frequency_mhz=1800.0),
+            fault_plan=throttle(core_id=4, at_batch=2, frequency_mhz=1800.0),
         )
         assert capped_high.mean_latency_us_per_byte == pytest.approx(
             healthy.mean_latency_us_per_byte, rel=1e-6
         )
-
-
-class TestFaultSpecDeprecation:
-    def test_fault_kwarg_warns(self):
-        with pytest.deprecated_call():
-            ExecutionConfig(
-                latency_constraint_us_per_byte=26.0,
-                fault=FaultSpec(core_id=4, at_batch=3, frequency_mhz=600.0),
-            )
-
-    def test_legacy_fault_equivalent_to_fault_plan(self, setup):
-        """The adapter must preserve byte-identical behaviour: a legacy
-        ``fault=`` run and the explicit ``fault_plan=`` spelling of the
-        same throttle produce the same numbers."""
-        from repro.faults.model import DvfsThrottle, FaultPlan
-
-        board, profile, plan = setup
-        with pytest.deprecated_call():
-            legacy = run(
-                board, profile, plan,
-                fault=FaultSpec(
-                    core_id=4, at_batch=3, frequency_mhz=600.0
-                ),
-            )
-        executor = PipelineExecutor(
-            board,
-            ExecutionConfig(
-                latency_constraint_us_per_byte=26.0,
-                repetitions=1,
-                batches_per_repetition=10,
-                warmup_batches=2,
-                noise_sigma=0.0,
-                fault_plan=FaultPlan(events=(
-                    DvfsThrottle(
-                        core_id=4, at_batch=3, frequency_mhz=600.0
-                    ),
-                )),
-            ),
-        )
-        per_batch = (list(profile.per_batch_step_costs) * 10)[:10]
-        modern = executor.run(plan, per_batch, profile.batch_size_bytes)
-        assert modern == legacy
 
 
 class TestThermalAblation:

@@ -165,6 +165,34 @@ class TestGoldenIdentity:
     def test_faulted_cell_identical(self, golden, fresh):
         assert fresh["faulted"] == golden["faulted"]
 
+    def test_traced_failover_cell_matches_faulted_golden(self, golden):
+        """Tracing the faulted cell changes none of its numbers, and its
+        exported stream passes the trace invariants (TRC006 included:
+        no service span on core 4 after it dies)."""
+        import json
+
+        from repro.analysis.verify import (
+            errors_only,
+            iter_chrome_events,
+            verify_trace_events,
+        )
+        from repro.obs.export import chrome_trace
+
+        result, recorder = golden_harness().run_traced(
+            spec_for("tdic32"), "CStream", fault_plan=GOLDEN_FAULT
+        )
+        assert result == golden["faulted"]
+        assert recorder.core_failures == len(result.repetitions)
+        payload = json.loads(json.dumps(chrome_trace(recorder)))
+        findings = verify_trace_events(iter_chrome_events(payload))
+        assert errors_only(findings) == []
+        depths = [
+            dict(event.args)["value"]
+            for event in recorder.events
+            if event.name == "core4.runq"
+        ]
+        assert depths and depths[-1] == 0
+
     def test_chain_plans_stay_chain_shaped(self):
         """The DAG generalization is invisible to the paper's codecs:
         every golden codec still decomposes to a chain whose tasks carry

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.compression import Tdic32
 from repro.compression.tdic32 import tdic32_hash
 from repro.errors import CompressionError, CorruptStreamError
+from tests.oracles import Tdic32Reference
 
 
 def words_to_bytes(values):
@@ -178,51 +179,51 @@ class TestFastPath:
     """The vectorized dictionary pass is byte-identical to the loop."""
 
     def test_rovio_identical(self, rovio_data):
-        fast = Tdic32(fast=True).compress(rovio_data)
-        reference = Tdic32(fast=False).compress(rovio_data)
-        assert fast.payload == reference.payload
-        assert fast.counters == reference.counters
+        fast = Tdic32().compress(rovio_data)
+        payload, hits = Tdic32Reference().compress(rovio_data)
+        assert fast.payload == payload
+        assert fast.counters["hits"] == hits
 
     def test_tables_identical_after_batch(self, rovio_data):
-        fast, reference = Tdic32(fast=True), Tdic32(fast=False)
+        fast, reference = Tdic32(), Tdic32Reference()
         fast.compress(rovio_data)
         reference.compress(rovio_data)
-        assert np.array_equal(fast._table, reference._table)
+        assert np.array_equal(fast._table, reference.table)
 
     def test_multi_batch_state_identical(self, rovio_data):
-        fast, reference = Tdic32(fast=True), Tdic32(fast=False)
+        fast, reference = Tdic32(), Tdic32Reference()
         for start in range(0, len(rovio_data), 2048):
             chunk = rovio_data[start:start + 2048]
             assert fast.compress(chunk).payload == (
-                reference.compress(chunk).payload
+                reference.compress(chunk)[0]
             )
 
     def test_slot_collisions_identical(self):
         """Tiny tables force heavy slot sharing — the sorted-group
         resolution must match the sequential semantics exactly."""
         data = words_to_bytes(list(range(200)) * 3)
-        fast = Tdic32(index_bits=2, fast=True).compress(data)
-        reference = Tdic32(index_bits=2, fast=False).compress(data)
-        assert fast.payload == reference.payload
+        fast = Tdic32(index_bits=2).compress(data)
+        reference = Tdic32Reference(index_bits=2).compress(data)
+        assert fast.payload == reference[0]
 
     @given(st.lists(st.integers(0, 30), max_size=300))
     @settings(max_examples=40, deadline=None)
     def test_arbitrary_high_duplication_identical(self, values):
         data = words_to_bytes(values)
-        assert Tdic32(fast=True).compress(data).payload == (
-            Tdic32(fast=False).compress(data).payload
+        assert Tdic32().compress(data).payload == (
+            Tdic32Reference().compress(data)[0]
         )
 
     @given(st.lists(st.integers(0, 0xFFFFFFFF), max_size=300))
     @settings(max_examples=40, deadline=None)
     def test_arbitrary_words_identical(self, values):
         data = words_to_bytes(values)
-        assert Tdic32(fast=True).compress(data).payload == (
-            Tdic32(fast=False).compress(data).payload
+        assert Tdic32().compress(data).payload == (
+            Tdic32Reference().compress(data)[0]
         )
 
     def test_fast_round_trips(self, rovio_data):
-        codec = Tdic32(fast=True)
+        codec = Tdic32()
         payload = codec.compress(rovio_data).payload
         assert Tdic32().decompress(payload) == rovio_data
 

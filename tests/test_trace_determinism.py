@@ -63,7 +63,32 @@ class TestTracedEqualsUntraced:
         )
         assert verbose_result.repetitions == baseline.repetitions
         assert len(verbose.events) > len(quiet.events)
-        assert any(e.category == "process" for e in verbose.events)
+        process = [e.name for e in verbose.events if e.category == "process"]
+        assert "resume:source" in process
+        # Core servers are callback chains, not processes: they emit
+        # queue depths, spans and switches but no resume instants.
+        assert not any(name.startswith("resume:core") for name in process)
+
+    def test_core_runq_depth_boots_at_zero_and_drains(self):
+        """Every core reports its run queue once at boot, and every
+        stream ends empty; colocated OS tasks do queue behind each
+        other, so some core reaches depth 1."""
+        result, recorder = make_harness().run_traced(spec_of(), "OS")
+        streams = {}
+        for event in recorder.events:
+            if event.name.endswith(".runq"):
+                streams.setdefault((event.pid, event.name), []).append(
+                    (event.ts_us, dict(event.args)["value"])
+                )
+        cores = len(make_harness().board.cores)
+        assert len(streams) == cores * len(result.repetitions)
+        for depths in streams.values():
+            assert depths[0] == (0.0, 0)
+            assert depths[-1][1] == 0
+        assert max(
+            depth for name, depth in recorder.queue_highwater.items()
+            if name.endswith(".runq")
+        ) >= 1
 
 
 class TestPaperShape:
