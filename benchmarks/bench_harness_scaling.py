@@ -379,13 +379,23 @@ def load_baseline(path):
 
 def check_baseline(baseline, record, tolerance=0.20):
     """Fail if cold serial throughput regressed > ``tolerance`` vs the
-    committed record (the CI perf-smoke gate)."""
+    committed record (the CI perf-smoke gate).
+
+    The gate only means something when it compares like with like, so a
+    missing record or a record of a different grid (quick vs full,
+    another repetition count) fails instead of passing unchecked.
+    """
     if not baseline:
-        print("no committed baseline; skipping regression check")
-        return
+        raise SystemExit(
+            "--check-baseline: no committed record to compare against"
+        )
     if baseline.get("grid") != record["grid"]:
-        print("baseline grid differs (quick vs full?); skipping check")
-        return
+        raise SystemExit(
+            "--check-baseline: the committed record holds a different "
+            f"grid; rerun with that grid or commit a new record\n"
+            f"  committed: {json.dumps(baseline.get('grid'), sort_keys=True)}"
+            f"\n  this run:  {json.dumps(record['grid'], sort_keys=True)}"
+        )
     serial_cells_per_sec = record["trajectory"]["cells_per_sec"]
     previous = baseline["runs"][0]["cells_per_sec"]
     floor = previous * (1.0 - tolerance)

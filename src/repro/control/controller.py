@@ -153,16 +153,18 @@ class SessionController:
         # One scheduler for the whole session: its energy-floor cache
         # and warm-start bounds are what make replans incremental.
         self.scheduler = Scheduler(model)
+        # A given plan seeds the regulator with its estimate, so no
+        # cold search repeats the one that chose it. With
+        # auto_replan=False only the regulator's drift signal is read.
         self.regulator = StatisticsAwareRegulator(
             model,
             trigger_threshold=config.trigger_threshold,
             smoothing=config.smoothing,
+            estimate=model.evaluate(plan) if plan is not None else None,
             auto_replan=False,
             scheduler=self.scheduler,
         )
-        self.plan: SchedulingPlan = (
-            plan if plan is not None else self.regulator.plan
-        )
+        self.plan: SchedulingPlan = self.regulator.plan
         self.events: List[ControlEvent] = []
         self.failovers: List[FailoverEvent] = []
         self.replans = 0

@@ -25,7 +25,7 @@ for any pair"; see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.plan import PlanEstimate, SchedulingPlan, TaskEstimate
 from repro.core.profiler import (
@@ -37,7 +37,6 @@ from repro.core.profiler import (
 from repro.core.roofline import FittedPiecewise, fit_piecewise
 from repro.core.task import TaskGraph
 from repro.errors import ConfigurationError
-from repro.numerics import ordered_sum
 from repro.simcore.boards import BoardSpec
 from repro.simcore.hardware import CoreType, replication_factor
 from repro.simcore.interconnect import Path
@@ -107,7 +106,8 @@ class _CostTables:
     """
 
     __slots__ = (
-        "stamp", "kappas", "instructions", "output_bytes",
+        "stamp", "core_ids", "predecessors",
+        "kappas", "instructions", "output_bytes",
         "eta", "zeta",
         "comm_unit", "comm_overhead", "comm_energy",
         "_replication_latency", "_replication_energy",
@@ -120,6 +120,10 @@ class _CostTables:
         core_ids = sorted(board.core_by_id)
         size = max(core_ids) + 1
         stage_count = len(model._stage_costs)
+        self.core_ids = core_ids
+        self.predecessors = [
+            model.graph.predecessors_of(s) for s in range(stage_count)
+        ]
         self.kappas = [model.stage_kappa(s) for s in range(stage_count)]
         self.instructions = [
             model.stage_instructions(s) for s in range(stage_count)
@@ -296,12 +300,10 @@ class CostModel:
     def _tables(self) -> _CostTables:
         """The precomputed lookup tables, rebuilt on κ/frequency drift.
 
-        The stamp check is cheap in the common
-        case (no adaptive drift, no static frequency map: two empty
-        snapshots), so branch-and-bound search — which calls
-        :meth:`compute_latency`/:meth:`task_energy` thousands of times
-        per plan — pays one dict/tuple compare per call instead of a
-        piecewise-curve walk.
+        The stamp check is cheap in the common case (no adaptive drift,
+        no static frequency map: two empty snapshots), and pricing pays
+        it once per plan (:meth:`evaluate`) or once per branch-and-bound
+        search, never per replica.
         """
         stamp = (
             ()
@@ -325,21 +327,14 @@ class CostModel:
     ) -> float:
         """l_comp of one replica, µs per byte of batch (Eq 6)."""
         tables = self._tables()
-        eta = tables.eta[stage_index][core_id]
-        instructions = tables.instructions[stage_index] / replicas
-        overhead = tables.replication_latency(replicas)
-        scale = self.latency_scale.get(stage_index, 1.0)
-        return scale * instructions * overhead / eta / self._batch_bytes
+        return self.replica_costs(stage_index, replicas, tables)[0][core_id]
 
     def task_energy(
         self, stage_index: int, core_id: int, replicas: int = 1
     ) -> float:
         """e of one replica, µJ per byte of batch (Eq 4)."""
         tables = self._tables()
-        zeta = tables.zeta[stage_index][core_id]
-        instructions = tables.instructions[stage_index] / replicas
-        overhead = tables.replication_energy(replicas)
-        return instructions * overhead / zeta / self._batch_bytes
+        return self.replica_costs(stage_index, replicas, tables)[1][core_id]
 
     def communication_latency(
         self,
@@ -373,94 +368,133 @@ class CostModel:
             total_us += overhead[producer_core][core_id]
         return total_us / self._batch_bytes
 
-    def communication_energy(
+    # -- plan pricing (Eqs 1-3) ----------------------------------------------
+
+    def replica_costs(
+        self, stage_index: int, replicas: int, tables: _CostTables
+    ) -> Tuple[List[Optional[float]], List[Optional[float]]]:
+        """Per-core l_comp (Eq 6) and computation energy (Eq 4) of one
+        replica of a stage running ``replicas`` wide, indexed by core id.
+
+        ``tables`` is one :meth:`_tables` fetch, shared by every stage
+        of a plan or a search; :meth:`compute_latency` and
+        :meth:`task_energy` read one entry of these rows.
+        """
+        instructions = tables.instructions[stage_index] / replicas
+        latency_overhead = tables.replication_latency(replicas)
+        energy_overhead = tables.replication_energy(replicas)
+        scale = self.latency_scale.get(stage_index, 1.0)
+        batch_bytes = self._batch_bytes
+        eta = tables.eta[stage_index]
+        zeta = tables.zeta[stage_index]
+        latency: List[Optional[float]] = [None] * len(eta)
+        energy: List[Optional[float]] = [None] * len(zeta)
+        for core_id in tables.core_ids:
+            latency[core_id] = (
+                scale * instructions * latency_overhead / eta[core_id]
+                / batch_bytes
+            )
+            energy[core_id] = (
+                instructions * energy_overhead / zeta[core_id] / batch_bytes
+            )
+        return latency, energy
+
+    def price(
         self,
-        stage_index: int,
-        core_id: int,
-        upstream_cores: Tuple[int, ...],
-        producer_stage: Optional[int] = None,
-    ) -> float:
-        """Per-message transfer energy of one replica, µJ per byte.
+        assignments,
+        stage_costs,
+        tables: _CostTables,
+    ) -> Tuple[float, float, bool, list, Dict[int, float]]:
+        """Price one plan's replicas: the model's one pricing loop.
 
-        The paper's Eq 4 prices computation only; shipping a message
-        still draws interconnect/DRAM energy, which the dry-run
-        measurement exposes — pricing it keeps the scheduler honest
-        about uneconomical replication at small batch sizes (Fig 11).
-        Like :meth:`communication_latency`, one call prices one
-        producer stage (default: the chain upstream).
+        ``assignments`` is a plan's per-stage core tuples and
+        ``stage_costs[s]`` the :meth:`replica_costs` rows for stage
+        ``s`` at its replica count. Per replica the loop adds l_comm
+        per producer stage (ascending), exactly as
+        :meth:`communication_latency` would, and the per-message
+        transfer energy. The paper's Eq 4 prices computation only;
+        shipping a message still draws interconnect/DRAM energy, which
+        the dry-run measurement exposes — pricing it keeps the scheduler
+        honest about uneconomical replication at small batch sizes
+        (Fig 11). Returns ``(L_est, E_est,
+        feasible, rows, core_load)``: ``rows`` holds one ``(stage,
+        replica, core, l_comp, l_comm, energy)`` tuple per replica and
+        ``core_load`` the per-core l_comp sums, which is all
+        :meth:`estimate_from` needs to build the full estimate. The
+        branch-and-bound scores every leaf with this and materializes
+        only the leaves that win.
         """
-        if producer_stage is None:
-            producer_stage = stage_index - 1
-        if producer_stage < 0 or not self.communication_aware:
-            return 0.0
-        energy = self._tables().comm_energy
-        total_uj = 0.0
-        for producer_core in upstream_cores:
-            total_uj += energy[producer_core][core_id]
-        return total_uj / self._batch_bytes
-
-    # -- plan evaluation (Eqs 1-3) -------------------------------------------
-
-    def evaluate(self, plan: SchedulingPlan) -> PlanEstimate:
-        """Predict L_est, E_est and feasibility of a plan.
-
-        One scalar call chain per replica — :meth:`compute_latency`,
-        :meth:`communication_latency` per producer stage (ascending),
-        :meth:`communication_energy` and :meth:`task_energy` — over the
-        precomputed tables. The plan-level reductions are Python left
-        folds (``ordered_sum`` for E_est), so the result is
-        deterministic bit for bit (``tests/test_golden_identity``).
-        """
-        if plan.graph is not self.graph and plan.graph != self.graph:
-            raise ConfigurationError("plan was built for a different task graph")
-        estimates = []
+        batch_bytes = self._batch_bytes
+        output_bytes = tables.output_bytes
+        comm_unit = tables.comm_unit
+        comm_overhead = tables.comm_overhead
+        comm_energy = tables.comm_energy
+        predecessors = tables.predecessors
+        communication_aware = self.communication_aware
+        rows = []
+        task_latencies = []
         core_load: Dict[int, float] = {}
-        for stage_index, cores in enumerate(plan.assignments):
+        energy = 0.0
+        for stage_index, cores in enumerate(assignments):
             replicas = len(cores)
-            producer_stages = plan.graph.predecessors_of(stage_index)
+            latency_row, energy_row = stage_costs[stage_index]
+            producers = (
+                predecessors[stage_index] if communication_aware else ()
+            )
             for replica_index, core_id in enumerate(cores):
-                l_comp = self.compute_latency(stage_index, core_id, replicas)
+                l_comp = latency_row[core_id]
                 l_comm = 0.0
                 e_comm = 0.0
-                for producer_stage in producer_stages:
-                    upstream_cores = plan.assignments[producer_stage]
-                    l_comm += self.communication_latency(
-                        stage_index,
-                        core_id,
-                        upstream_cores,
-                        replicas,
-                        producer_stage=producer_stage,
+                for producer_stage in producers:
+                    upstream_cores = assignments[producer_stage]
+                    share = (
+                        output_bytes[producer_stage]
+                        / replicas
+                        / len(upstream_cores)
                     )
-                    e_comm += self.communication_energy(
-                        stage_index,
-                        core_id,
-                        upstream_cores,
-                        producer_stage=producer_stage,
-                    )
-                energy = self.task_energy(
-                    stage_index, core_id, replicas
-                ) + e_comm
-                estimates.append(
-                    TaskEstimate(
-                        stage_index=stage_index,
-                        replica_index=replica_index,
-                        core_id=core_id,
-                        kappa=self.stage_kappa(stage_index),
-                        l_comp_us_per_byte=l_comp,
-                        l_comm_us_per_byte=l_comm,
-                        energy_uj_per_byte=energy,
-                    )
+                    total_us = 0.0
+                    total_uj = 0.0
+                    for producer_core in upstream_cores:
+                        total_us += share * comm_unit[producer_core][core_id]
+                        total_us += comm_overhead[producer_core][core_id]
+                        total_uj += comm_energy[producer_core][core_id]
+                    l_comm += total_us / batch_bytes
+                    e_comm += total_uj / batch_bytes
+                task_energy = energy_row[core_id] + e_comm
+                energy += task_energy
+                task_latencies.append(l_comp + l_comm)
+                rows.append(
+                    (stage_index, replica_index, core_id,
+                     l_comp, l_comm, task_energy)
                 )
                 core_load[core_id] = core_load.get(core_id, 0.0) + l_comp
-        return self._finish_estimate(plan, estimates, core_load)
+        latency = max(max(task_latencies), max(core_load.values()))
+        budget = self.guard_band * self.latency_constraint_us_per_byte
+        return latency, energy, not latency > budget, rows, core_load
 
-    def _finish_estimate(
-        self, plan: SchedulingPlan, estimates, core_load: Dict[int, float]
+    def estimate_from(
+        self, plan: SchedulingPlan, priced, tables: _CostTables
     ) -> PlanEstimate:
-        bottleneck_task = max(est.l_us_per_byte for est in estimates)
-        bottleneck_core = max(core_load.values())
-        latency = max(bottleneck_task, bottleneck_core)
-        energy = ordered_sum(est.energy_uj_per_byte for est in estimates)
+        """The full :class:`PlanEstimate` of a plan :meth:`price` priced.
+
+        Builds one :class:`TaskEstimate` per priced replica and the
+        critical path; L_est, E_est and feasibility are the priced ones.
+        """
+        latency, energy, feasible, rows, core_load = priced
+        kappas = tables.kappas
+        estimates = tuple(
+            TaskEstimate(
+                stage_index=stage_index,
+                replica_index=replica_index,
+                core_id=core_id,
+                kappa=kappas[stage_index],
+                l_comp_us_per_byte=l_comp,
+                l_comm_us_per_byte=l_comm,
+                energy_uj_per_byte=task_energy,
+            )
+            for (stage_index, replica_index, core_id,
+                 l_comp, l_comm, task_energy) in rows
+        )
 
         # Critical path: per-stage latency (slowest replica) summed along
         # the heaviest chain of stage edges. For chains this degenerates
@@ -470,10 +504,10 @@ class CostModel:
         # critical path prices one batch's end-to-end pipeline depth,
         # which replanning and the schedulers' tie-breaking consume.
         stage_latency: Dict[int, float] = {}
-        for est in estimates:
-            current = stage_latency.get(est.stage_index, 0.0)
-            if est.l_us_per_byte > current:
-                stage_latency[est.stage_index] = est.l_us_per_byte
+        for stage_index, _, _, l_comp, l_comm, _ in rows:
+            l_task = l_comp + l_comm
+            if l_task > stage_latency.get(stage_index, 0.0):
+                stage_latency[stage_index] = l_task
         path_to: Dict[int, float] = {}
         for stage_index in range(plan.graph.stage_count):
             longest_producer = 0.0
@@ -485,19 +519,39 @@ class CostModel:
             )
         critical_path = path_to[plan.graph.stage_count - 1]
 
-        budget = self.guard_band * self.latency_constraint_us_per_byte
         reason = ""
-        if latency > budget:
+        if not feasible:
+            budget = self.guard_band * self.latency_constraint_us_per_byte
             reason = (
                 f"L_est {latency:.2f} µs/B exceeds budget {budget:.2f} µs/B"
             )
         return PlanEstimate(
             plan=plan,
-            task_estimates=tuple(estimates),
+            task_estimates=estimates,
             latency_us_per_byte=latency,
             energy_uj_per_byte=energy,
-            feasible=not reason,
+            feasible=feasible,
             infeasibility_reason=reason,
             core_load_us_per_byte=core_load,
             critical_path_us_per_byte=critical_path,
         )
+
+    def evaluate(self, plan: SchedulingPlan) -> PlanEstimate:
+        """Predict L_est, E_est and feasibility of a plan.
+
+        One table fetch, then :meth:`price` and :meth:`estimate_from` —
+        the same loop the branch-and-bound scores its leaves with. The
+        reductions are Python left folds in replica order, so the result
+        is deterministic bit for bit (``tests/test_golden_identity``).
+        """
+        if plan.graph is not self.graph and plan.graph != self.graph:
+            raise ConfigurationError(
+                "plan was built for a different task graph"
+            )
+        tables = self._tables()
+        stage_costs = [
+            self.replica_costs(stage_index, len(cores), tables)
+            for stage_index, cores in enumerate(plan.assignments)
+        ]
+        priced = self.price(plan.assignments, stage_costs, tables)
+        return self.estimate_from(plan, priced, tables)

@@ -23,6 +23,13 @@ is already placed. Two structural reductions keep it exact *and* small:
   never collide; ``plans_evaluated`` counts complete plans reaching
   evaluation, not pruned branches.
 
+Every search fetches the model's cost tables once and reads each
+stage's per-core costs from :meth:`CostModel.replica_costs` rows. A
+leaf is scored by :meth:`CostModel.price` — L_est, E_est and
+feasibility, the loop :meth:`CostModel.evaluate` runs — and only a leaf
+that becomes the new best or fastest plan is materialized into a full
+:class:`~repro.core.plan.PlanEstimate`.
+
 Replication follows the paper's *topologically sorted iterative
 scaling*: start with one replica per stage; while no feasible plan
 exists, replicate the bottleneck stage (highest estimated latency under
@@ -53,7 +60,7 @@ class SearchStats:
     ``nodes_expanded`` counts per-stage split branches the depth-first
     walk actually descended into; ``branches_pruned`` counts branches
     cut by the energy-floor / latency bound; ``plans_evaluated`` counts
-    complete plans reaching cost-model evaluation; ``scaling_rounds``
+    complete plans the cost model priced; ``scaling_rounds``
     counts iterative-scaling restarts; ``wall_clock_s`` is real time.
     """
 
@@ -177,6 +184,7 @@ class Scheduler:
         self,
         replica_counts: Tuple[int, ...],
         stage_splits: List[List[Tuple[int, int]]],
+        stage_costs,
     ) -> List[float]:
         key = self._energy_floor_key(replica_counts)
         cached = self._floor_cache.get(key)
@@ -185,15 +193,11 @@ class Scheduler:
             return cached
         floors: List[float] = []
         for stage_index, splits in enumerate(stage_splits):
+            energy_row = stage_costs[stage_index][1]
             minima = []
             for split in splits:
                 cores = self._assign_cores(split, {})
-                minima.append(
-                    ordered_sum(
-                        self.model.task_energy(stage_index, core, len(cores))
-                        for core in cores
-                    )
-                )
+                minima.append(ordered_sum(energy_row[core] for core in cores))
             floors.append(min(minima) if minima else 0.0)
         self._floor_cache[key] = floors
         return floors
@@ -235,14 +239,22 @@ class Scheduler:
         incumbent bound enabled); :meth:`schedule` aggregates them into
         a :class:`SearchStats`.
         """
-        graph = self.model.graph
+        model = self.model
+        graph = model.graph
+        # One table fetch per search: every leaf and every walk step
+        # reads its per-core costs from these rows.
+        tables = model._tables()
+        stage_costs = [
+            model.replica_costs(stage_index, replicas, tables)
+            for stage_index, replicas in enumerate(replica_counts)
+        ]
         stage_splits = [
             list(self._stage_placements(r)) for r in replica_counts
         ]
         # Independent per-stage energy minima for the lower bound
         # (cached across replans — see _stage_energy_floors).
         stage_energy_floor = self._stage_energy_floors(
-            replica_counts, stage_splits
+            replica_counts, stage_splits, stage_costs
         )
         remaining_floor = [0.0] * (graph.stage_count + 1)
         for stage_index in range(graph.stage_count - 1, -1, -1):
@@ -261,24 +273,31 @@ class Scheduler:
         }
 
         def consider(assignments: List[Tuple[int, ...]]) -> None:
-            plan = SchedulingPlan(graph=graph, assignments=tuple(assignments))
-            estimate = self.model.evaluate(plan)
+            # Score the leaf first; only a leaf that becomes the new
+            # fastest or best plan is built into a full PlanEstimate.
+            priced = model.price(assignments, stage_costs, tables)
+            latency, energy, feasible = priced[:3]
             state["evaluated"] += 1
             fastest = state["fastest"]
-            if fastest is None or (
-                estimate.latency_us_per_byte < fastest.latency_us_per_byte
-            ):
-                state["fastest"] = estimate
+            new_fastest = (
+                fastest is None or latency < fastest.latency_us_per_byte
+            )
             best = state["best"]
-            if estimate.feasible and (
+            new_best = feasible and (
                 best is None
-                or estimate.energy_uj_per_byte < best.energy_uj_per_byte
+                or energy < best.energy_uj_per_byte
                 or (
-                    estimate.energy_uj_per_byte == best.energy_uj_per_byte
-                    and estimate.latency_us_per_byte
-                    < best.latency_us_per_byte
+                    energy == best.energy_uj_per_byte
+                    and latency < best.latency_us_per_byte
                 )
-            ):
+            )
+            if not (new_fastest or new_best):
+                return
+            plan = SchedulingPlan(graph=graph, assignments=tuple(assignments))
+            estimate = model.estimate_from(plan, priced, tables)
+            if new_fastest:
+                state["fastest"] = estimate
+            if new_best:
                 state["best"] = estimate
 
         def walk(
@@ -290,13 +309,10 @@ class Scheduler:
             if stage_index == graph.stage_count:
                 consider(assignments)
                 return
+            latency_row, energy_row = stage_costs[stage_index]
             for split in stage_splits[stage_index]:
                 cores = self._assign_cores(split, load)
-                replicas = len(cores)
-                stage_energy = ordered_sum(
-                    self.model.task_energy(stage_index, core, replicas)
-                    for core in cores
-                )
+                stage_energy = ordered_sum(energy_row[core] for core in cores)
                 candidate_energy = partial_energy + stage_energy
                 best = state["best"]
                 energy_floor = (
@@ -326,9 +342,9 @@ class Scheduler:
                 state["expanded"] += 1
                 new_load = dict(load)
                 for core in cores:
-                    new_load[core] = new_load.get(
-                        core, 0.0
-                    ) + self.model.compute_latency(stage_index, core, replicas)
+                    new_load[core] = (
+                        new_load.get(core, 0.0) + latency_row[core]
+                    )
                 assignments.append(cores)
                 walk(stage_index + 1, assignments, new_load, candidate_energy)
                 assignments.pop()

@@ -70,6 +70,8 @@ class StatisticsAwareRegulator:
     model: CostModel
     trigger_threshold: float = 0.15
     smoothing: float = 0.3
+    #: the plan in force; ``None`` runs a cold search at construction,
+    #: a caller that already holds its plan passes its estimate instead
     estimate: PlanEstimate = None
     events: List[StatisticsEvent] = field(default_factory=list)
     #: with ``auto_replan=False`` the regulator only recalibrates the

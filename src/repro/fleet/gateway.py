@@ -19,6 +19,12 @@ and a few percent of seeded noise. Each placed tenant embeds a full
 :class:`~repro.control.heartbeat.ExternalHeartbeat`, so on-board
 adaptation (throttle replans, migration gating) is the real PR 4–5
 machinery, not a re-implementation.
+
+Pricing work is done once: the controller is seeded with the
+placement's plan (its regulator gets ``evaluate(plan)``, not a second
+search), and the gateway's :class:`~repro.fleet.placement.FleetScheduler`
+plan cache may be passed in, so the arms of one scenario share every
+(tenant, board-kind) search.
 """
 
 from __future__ import annotations
@@ -151,6 +157,7 @@ class Gateway:
         config: GatewayConfig = GatewayConfig(),
         seed: int = 0,
         label: str = "fleet",
+        scheduler: Optional[FleetScheduler] = None,
     ) -> None:
         if not boards:
             raise ConfigurationError("fleet has no boards")
@@ -159,7 +166,16 @@ class Gateway:
         self.config = config
         self.seed = seed
         self.label = label
-        self.scheduler = FleetScheduler(workloads, boards, seed=seed)
+        if scheduler is None:
+            scheduler = FleetScheduler(workloads, boards, seed=seed)
+        elif scheduler.seed != seed:
+            raise ConfigurationError(
+                f"shared fleet scheduler has seed {scheduler.seed}, "
+                f"gateway has seed {seed}"
+            )
+        #: plan cache of this run; gateways over the same boards,
+        #: workloads and seed may share one (see ``run_fleet_scenario``)
+        self.scheduler = scheduler
         self.backoff = replace(config.backoff, seed=seed)
         self.boards = {
             b.board_index: _BoardState(handle=b) for b in boards
@@ -638,6 +654,7 @@ class Gateway:
                         tenant.tenant_id, source
                     ).plan,
                     destination,
+                    self.config.controller.state_bytes_scale,
                 )
                 self._install(tenant, placement, window)
                 self._emit(

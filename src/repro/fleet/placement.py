@@ -13,7 +13,13 @@ single-board control loop uses at window boundaries.
 
 Boards of one kind share calibration, so contexts, models and schedule
 results are cached per (tenant, kind) — a 6-board fleet prices like a
-3-kind fleet.
+3-kind fleet. The cache lives on the :class:`FleetScheduler`, which
+``run_fleet_scenario`` shares across its three arms: each (tenant,
+kind) plan is searched once per scenario. A placed tenant's controller
+adopts the placement's plan as is — it prices it with one
+``evaluate`` and runs no search of its own — and each search scores
+its branch-and-bound leaves without building estimates (see
+:mod:`repro.core.scheduler`).
 """
 
 from __future__ import annotations
@@ -36,10 +42,6 @@ from repro.fleet.tenants import TenantWorkload
 from repro.simcore.boards import BoardSpec, rk3399
 
 __all__ = ["Placement", "FleetScheduler", "cross_board_routing"]
-
-#: replica state footprint as a fraction of one batch's stage output —
-#: mirrors ControllerConfig.state_bytes_scale
-_STATE_BYTES_SCALE = 0.25
 
 
 @dataclass(frozen=True)
@@ -206,13 +208,18 @@ class FleetScheduler:
         source: BoardHandle,
         incumbent: SchedulingPlan,
         destination: BoardHandle,
+        state_bytes_scale: float,
     ) -> Tuple[Placement, MigrationCost]:
         """Re-place a victim tenant, warm-started from its old plan.
 
         The incumbent is routed through the cluster-aware core mapping
         (``remap_cores``) and seeds the destination's branch-and-bound;
         the returned migration cost prices the state actually moved,
-        using the destination's profiled communication table.
+        using the destination's profiled communication table. Each
+        replica's state is ``state_bytes_scale`` × its stage's output
+        bytes — the gateway passes its controllers'
+        ``ControllerConfig.state_bytes_scale``, so failover and on-board
+        migrations price state alike.
         """
         workload = self.workloads[tenant_id]
         model = self.model(tenant_id, destination)
@@ -223,7 +230,7 @@ class FleetScheduler:
         )
         candidate = result.estimate
         state_bytes = {
-            stage: model.stage_output_bytes(stage) * _STATE_BYTES_SCALE
+            stage: model.stage_output_bytes(stage) * state_bytes_scale
             for stage in range(model.graph.stage_count)
         }
         cost = migration_cost(

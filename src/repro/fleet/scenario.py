@@ -25,6 +25,7 @@ from typing import Dict, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.faults.fleet import FLEET_SCENARIOS, build_fleet_fault_plan
 from repro.fleet.gateway import Gateway, GatewayConfig
+from repro.fleet.placement import FleetScheduler
 from repro.fleet.registry import build_fleet
 from repro.fleet.tenants import build_tenant_catalog, build_tenant_workloads
 from repro.numerics import ordered_sum
@@ -144,8 +145,16 @@ def run_fleet_arm(
     arm: str,
     workloads=None,
     boards=None,
+    scheduler: Optional[FleetScheduler] = None,
 ) -> FleetHealth:
-    """One arm end to end; catalogue/fleet reusable across arms."""
+    """One arm end to end; catalogue/fleet reusable across arms.
+
+    ``scheduler`` is a :class:`FleetScheduler` over the same boards,
+    workloads and ``spec.seed``, shared with other arms so each
+    (tenant, board-kind) plan is searched once; ``None`` gives the arm
+    its own. Placement plans never depend on the arm, so sharing
+    changes no output.
+    """
     if boards is None:
         boards = build_fleet(spec.boards)
     if workloads is None:
@@ -166,21 +175,28 @@ def run_fleet_arm(
         config=arm_config(arm, spec),
         seed=spec.seed,
         label=f"fleet-{spec.scenario}-{arm}",
+        scheduler=scheduler,
     )
     return gateway.run()
 
 
 def run_fleet_scenario(spec: FleetScenarioSpec) -> FleetComparison:
-    """All three arms over one catalogue, fleet and fault plan."""
+    """All three arms over one catalogue, fleet, fault plan and plan
+    cache: one :class:`FleetScheduler` serves every arm, so each
+    (tenant, board-kind) plan is searched once per scenario."""
     boards = build_fleet(spec.boards)
     workloads = build_tenant_workloads(
         build_tenant_catalog(spec.tenants, seed=spec.seed),
         seed=spec.seed,
     )
+    scheduler = FleetScheduler(workloads, boards, seed=spec.seed)
     healths: Dict[str, FleetHealth] = {}
     summaries = []
     for arm in FLEET_ARMS:
-        health = run_fleet_arm(spec, arm, workloads=workloads, boards=boards)
+        health = run_fleet_arm(
+            spec, arm, workloads=workloads, boards=boards,
+            scheduler=scheduler,
+        )
         healths[arm] = health
         summaries.append(summarize_arm(health, spec))
     return FleetComparison(

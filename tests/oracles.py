@@ -11,7 +11,8 @@ compare both on the same inputs without a second path in the package:
 * :class:`Tdic32Reference` — Algorithm 4 word by word, table read then
   overwrite;
 * :func:`evaluate_reference` — Eqs 1-7 per replica straight from the
-  fitted curves and the communication table, no lookup tables.
+  fitted curves and the communication table, no lookup tables, built
+  on :func:`compute_latency_reference` and :func:`task_energy_reference`.
 """
 
 from __future__ import annotations
@@ -80,7 +81,10 @@ class Tdic32Reference:
         return writer.getvalue(), hits
 
 
-def _compute_latency(model, stage: int, core_id: int, replicas: int) -> float:
+def compute_latency_reference(
+    model, stage: int, core_id: int, replicas: int
+) -> float:
+    """Eq 6 l_comp of one replica from the fitted η curve."""
     eta = model._eta(model.stage_kappa(stage), core_id)
     instructions = model.stage_instructions(stage) / replicas
     overhead = replication_factor(
@@ -93,7 +97,10 @@ def _compute_latency(model, stage: int, core_id: int, replicas: int) -> float:
     )
 
 
-def _task_energy(model, stage: int, core_id: int, replicas: int) -> float:
+def task_energy_reference(
+    model, stage: int, core_id: int, replicas: int
+) -> float:
+    """Eq 4 computation energy of one replica from the fitted ζ curve."""
     zeta = model._zeta(model.stage_kappa(stage), core_id)
     instructions = model.stage_instructions(stage) / replicas
     overhead = replication_factor(
@@ -132,7 +139,9 @@ def evaluate_reference(model, plan: SchedulingPlan) -> PlanEstimate:
     for stage, cores in enumerate(plan.assignments):
         replicas = len(cores)
         for replica_index, core_id in enumerate(cores):
-            l_comp = _compute_latency(model, stage, core_id, replicas)
+            l_comp = compute_latency_reference(
+                model, stage, core_id, replicas
+            )
             l_comm = 0.0
             e_comm = 0.0
             for producer_stage in plan.graph.predecessors_of(stage):
@@ -151,10 +160,45 @@ def evaluate_reference(model, plan: SchedulingPlan) -> PlanEstimate:
                     l_comp_us_per_byte=l_comp,
                     l_comm_us_per_byte=l_comm,
                     energy_uj_per_byte=(
-                        _task_energy(model, stage, core_id, replicas)
+                        task_energy_reference(model, stage, core_id, replicas)
                         + e_comm
                     ),
                 )
             )
             core_load[core_id] = core_load.get(core_id, 0.0) + l_comp
-    return model._finish_estimate(plan, estimates, core_load)
+    return _finish_reference(model, plan, estimates, core_load)
+
+
+def _finish_reference(model, plan, estimates, core_load) -> PlanEstimate:
+    """Eqs 1-3 and the critical path folded over built estimates."""
+    latency = max(
+        max(est.l_us_per_byte for est in estimates),
+        max(core_load.values()),
+    )
+    energy = 0.0
+    for est in estimates:
+        energy += est.energy_uj_per_byte
+    stage_latency: Dict[int, float] = {}
+    for est in estimates:
+        if est.l_us_per_byte > stage_latency.get(est.stage_index, 0.0):
+            stage_latency[est.stage_index] = est.l_us_per_byte
+    path_to: Dict[int, float] = {}
+    for stage in range(plan.graph.stage_count):
+        longest_producer = 0.0
+        for producer in plan.graph.predecessors_of(stage):
+            longest_producer = max(longest_producer, path_to[producer])
+        path_to[stage] = stage_latency.get(stage, 0.0) + longest_producer
+    budget = model.guard_band * model.latency_constraint_us_per_byte
+    reason = ""
+    if latency > budget:
+        reason = f"L_est {latency:.2f} µs/B exceeds budget {budget:.2f} µs/B"
+    return PlanEstimate(
+        plan=plan,
+        task_estimates=tuple(estimates),
+        latency_us_per_byte=latency,
+        energy_uj_per_byte=energy,
+        feasible=not reason,
+        infeasibility_reason=reason,
+        core_load_us_per_byte=core_load,
+        critical_path_us_per_byte=path_to[plan.graph.stage_count - 1],
+    )

@@ -440,3 +440,27 @@ class TestSessionController:
         assert decision is None
         assert controller.replans == 0
         assert controller.events == []
+
+    def test_given_plan_seeds_the_regulator_without_a_search(self, context):
+        from repro.obs.registry import REGISTRY
+
+        model = context.cost_model(context.fine_graph)
+        plan = plan_of(context, (BIG,), (LITTLE, LITTLE2))
+        stream = [context.profile.mean_step_costs] * 4
+        before = REGISTRY.counter("scheduler.schedules")
+        controller = SessionController(model, stream, 8192, plan=plan)
+        assert REGISTRY.counter("scheduler.schedules") == before
+        assert controller.plan is plan
+        assert controller.regulator.estimate == model.evaluate(plan)
+
+    def test_without_a_plan_the_regulator_searches_once(self, context):
+        from repro.obs.registry import REGISTRY
+
+        model = context.cost_model(context.fine_graph)
+        stream = [context.profile.mean_step_costs] * 4
+        before = REGISTRY.counter("scheduler.schedules")
+        controller = SessionController(model, stream, 8192)
+        assert REGISTRY.counter("scheduler.schedules") == before + 1
+        assert controller.plan == (
+            Scheduler(model).schedule(best_effort=True).plan
+        )

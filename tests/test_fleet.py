@@ -22,16 +22,21 @@ from repro.fleet.breaker import (
     CircuitBreaker,
     replay_transitions,
 )
+from repro.faults.fleet import build_fleet_fault_plan
+from repro.fleet.gateway import Gateway
+from repro.fleet.placement import FleetScheduler
 from repro.fleet.registry import BOARD_KINDS, build_fleet
 from repro.fleet.scenario import (
     FLEET_ARMS,
     FleetScenarioSpec,
+    arm_config,
     run_fleet_arm,
     run_fleet_scenario,
 )
 from repro.fleet.tenants import build_tenant_catalog, build_tenant_workloads
 from repro.obs.check import validate_fleet_health
 from repro.obs.health import FleetHealth
+from repro.obs.registry import REGISTRY
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +277,122 @@ class TestDeterminism:
         assert other.to_json() != (
             comparison_small.healths["shed-failover"].to_json()
         )
+
+
+class TestSharedPlanCache:
+    def test_scenario_shares_plans_across_arms(self):
+        spec = FleetScenarioSpec(boards=3, tenants=6, windows=6)
+        boards = build_fleet(spec.boards)
+        workloads = build_tenant_workloads(
+            build_tenant_catalog(spec.tenants, seed=spec.seed),
+            seed=spec.seed,
+        )
+        start = REGISTRY.counter("scheduler.schedules")
+        independent = {
+            arm: run_fleet_arm(
+                spec, arm, workloads=workloads, boards=boards
+            ).to_json()
+            for arm in FLEET_ARMS
+        }
+        middle = REGISTRY.counter("scheduler.schedules")
+        shared = run_fleet_scenario(spec)
+        end = REGISTRY.counter("scheduler.schedules")
+        assert {
+            arm: health.to_json() for arm, health in shared.healths.items()
+        } == independent
+        # one search per (tenant, kind) for the whole scenario instead
+        # of one per arm; the scenario also builds its own catalogue
+        assert end - middle < middle - start
+
+    def test_shared_scheduler_must_match_the_seed(self):
+        spec = FleetScenarioSpec(boards=3, tenants=6, windows=6)
+        boards = build_fleet(spec.boards)
+        workloads = build_tenant_workloads(
+            build_tenant_catalog(spec.tenants, seed=spec.seed),
+            seed=spec.seed,
+        )
+        other = FleetScheduler(workloads, boards, seed=spec.seed + 1)
+        with pytest.raises(ConfigurationError):
+            run_fleet_arm(spec, "static", workloads=workloads,
+                          boards=boards, scheduler=other)
+
+    def test_schedule_calls_of_one_large_crash_arm(self):
+        # 12 catalogue searches + 12 tenants x 3 board kinds + the one
+        # failover replan; controllers adopt placement's plan unsearched
+        spec = FleetScenarioSpec(boards=6, tenants=12)
+        before = REGISTRY.counter("scheduler.schedules")
+        run_fleet_arm(spec, "shed-failover")
+        assert REGISTRY.counter("scheduler.schedules") - before == 49
+
+
+class TestFailoverPricing:
+    def test_state_bytes_scale_prices_failover_migration(self):
+        boards = build_fleet(3)
+        workloads = build_tenant_workloads(
+            build_tenant_catalog(6, seed=0), seed=0
+        )
+        scheduler = FleetScheduler(workloads, boards, seed=0)
+        # the edge board's 2+4 topology forces replicas to move
+        source, destination = boards[0], boards[2]
+        assert (source.kind, destination.kind) == ("rk3399", "edge")
+        moved = []
+        for workload in workloads:
+            incumbent = scheduler.plan_estimate(
+                workload.tenant_id, source
+            ).plan
+            costs = {
+                scale: scheduler.failover_placement(
+                    workload.tenant_id, source, incumbent, destination,
+                    scale,
+                )[1]
+                for scale in (0.0, 0.25, 1.0)
+            }
+            if costs[0.25].moved_replicas == 0:
+                continue
+            moved.append(workload.tenant_id)
+            # transfer = state bytes x unit cost + per-move overhead, so
+            # the state-dependent part scales with the configured size
+            overhead = costs[0.0].transfer_us
+            state_part = costs[0.25].transfer_us - overhead
+            assert state_part > 0.0
+            assert costs[1.0].transfer_us - overhead == pytest.approx(
+                4.0 * state_part, rel=1e-12
+            )
+        assert moved, "some tenant must move replicas across board kinds"
+
+    def test_gateway_passes_its_controller_config(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro.control.controller import ControllerConfig
+
+        seen = []
+        original = FleetScheduler.failover_placement
+
+        def spy(self, tenant_id, source, incumbent, destination, scale):
+            seen.append(scale)
+            return original(
+                self, tenant_id, source, incumbent, destination, scale
+            )
+
+        monkeypatch.setattr(FleetScheduler, "failover_placement", spy)
+        spec = FleetScenarioSpec(boards=3, tenants=6, windows=6)
+        config = replace(
+            arm_config("shed-failover", spec),
+            controller=ControllerConfig(state_bytes_scale=0.5),
+        )
+        workloads = build_tenant_workloads(
+            build_tenant_catalog(spec.tenants, seed=spec.seed),
+            seed=spec.seed,
+        )
+        fault_plan = build_fleet_fault_plan(
+            spec.scenario, board_index=spec.fault_board,
+            at_window=spec.at_window, seed=spec.seed,
+        )
+        Gateway(
+            build_fleet(spec.boards), workloads, fault_plan=fault_plan,
+            config=config, seed=spec.seed,
+        ).run()
+        assert seen and set(seen) == {0.5}
 
 
 class TestHealthReport:
