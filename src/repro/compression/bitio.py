@@ -15,10 +15,13 @@ always agree with each other.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import CorruptStreamError
 
-__all__ = ["BitWriter", "BitReader", "bits_required", "pack_codes"]
+__all__ = [
+    "BitWriter", "BitReader", "bits_required", "pack_codes", "unpack_codes",
+]
 
 
 def bits_required(value: int) -> int:
@@ -196,3 +199,32 @@ def pack_codes(chunks: "np.ndarray", widths: "np.ndarray") -> bytes:
         ).astype(np.uint8)
         np.bitwise_or.at(packed, byte_start + index, byte_values)
     return packed[: (total_bits + 7) // 8].tobytes()
+
+
+def unpack_codes(data: bytes, width: int, count: int) -> "np.ndarray":
+    """Vectorized inverse of :func:`pack_codes` for fixed-width codes.
+
+    Returns the first ``count`` codes of ``width`` bits each, read
+    MSB-first from ``data`` exactly as ``count`` calls of
+    ``BitReader.read(width)`` would, as a ``uint64`` array. Each code
+    is cut from the 64-bit big-endian window starting at its first
+    byte, which holds it whole for widths up to 56 bits.
+    """
+    if not 0 <= width <= 56:
+        raise ValueError(f"unpack_codes supports widths 0..56, got {width}")
+    total_bits = count * width
+    if total_bits > 8 * len(data):
+        raise CorruptStreamError(
+            f"attempted to read {count} codes of {width} bits from "
+            f"{8 * len(data)} bits"
+        )
+    if total_bits == 0:
+        return np.zeros(count, dtype=np.uint64)
+    used = (total_bits + 7) // 8
+    padded = np.zeros(used + 8, dtype=np.uint8)
+    padded[:used] = np.frombuffer(data, dtype=np.uint8, count=used)
+    offsets = np.arange(count, dtype=np.uint64) * np.uint64(width)
+    starts = (offsets >> np.uint64(3)).astype(np.intp)
+    windows = sliding_window_view(padded, 8)[starts].view(">u8").ravel()
+    windows = windows.astype(np.uint64) << (offsets & np.uint64(7))
+    return windows >> np.uint64(64 - width)

@@ -67,26 +67,31 @@ _S4_ACCESSES_PER_TOKEN = 0.3
 _DESCRIPTOR_BYTES_PER_PROBE = 5
 
 
-def _hash_all(data: bytes, limit: int, index_bits: int) -> list:
-    """Multiplicative hash of the 4 little-endian bytes at every
-    position in ``[0, limit)``: ``((word * 2654435761) & 0xFFFFFFFF)
-    >> (32 - index_bits)``.
+def _prefix_words(data: bytes, limit: int) -> np.ndarray:
+    """The 4 little-endian bytes at every position in ``[0, limit)`` as
+    one ``uint32`` array.
 
-    One numpy pass in uint32, whose multiplication wraps exactly like
-    the mask. Positions up to ``limit - 1`` read 4 bytes each, which
-    stays in bounds because ``limit`` excludes the
-    :data:`_MATCH_SEARCH_MARGIN` tail.
+    Positions up to ``limit - 1`` read 4 bytes each, which stays in
+    bounds because ``limit`` excludes the :data:`_MATCH_SEARCH_MARGIN`
+    tail.
     """
     if limit <= 0:
-        return []
+        return np.empty(0, dtype=np.uint32)
     raw = np.frombuffer(data, dtype=np.uint8)
     words = raw[0:limit].astype(np.uint32)
     words |= raw[1:limit + 1].astype(np.uint32) << np.uint32(8)
     words |= raw[2:limit + 2].astype(np.uint32) << np.uint32(16)
     words |= raw[3:limit + 3].astype(np.uint32) << np.uint32(24)
-    words *= np.uint32(2654435761)
-    words >>= np.uint32(32 - index_bits)
-    return words.tolist()
+    return words
+
+
+def _hash_all(words: np.ndarray, index_bits: int) -> list:
+    """Multiplicative hash of every prefix word: ``((word * 2654435761)
+    & 0xFFFFFFFF) >> (32 - index_bits)``, one numpy pass in uint32,
+    whose multiplication wraps exactly like the mask."""
+    hashes = words * np.uint32(2654435761)
+    hashes >>= np.uint32(32 - index_bits)
+    return hashes.tolist()
 
 
 def _write_length(out: bytearray, length: int) -> None:
@@ -127,40 +132,65 @@ class Lz4(StatefulCompressor):
         out = bytearray(_HEADER.pack(len(data)))
         n = len(data)
         table = [-1] * (1 << self.index_bits)
+        max_search_length = self.max_search_length
 
-        probes = 0
-        updates = 0
+        probes = 0  # every probe also overwrites its table slot
         matches = 0
         matched_bytes = 0
-        tokens = 0
 
         anchor = 0  # start of the pending literal run
         position = 0
         search_limit = n - _MATCH_SEARCH_MARGIN
-        hashes = _hash_all(data, search_limit, self.index_bits)
+        prefixes = _prefix_words(data, search_limit)
+        hashes = _hash_all(prefixes, self.index_bits)
+        # A candidate matches when its 4-byte prefix word does. The
+        # memoryview hands out plain ints without a second list.
+        words = memoryview(prefixes)
         while position < search_limit:
             slot = hashes[position]
             probes += 1
             candidate = table[slot]
             table[slot] = position
-            updates += 1
             if (
-                candidate >= 0
-                and position - candidate <= _MAX_OFFSET
-                and data[candidate:candidate + _MIN_MATCH]
-                == data[position:position + _MIN_MATCH]
+                candidate < 0
+                or position - candidate > _MAX_OFFSET
+                or words[candidate] != words[position]
             ):
-                length = self._expand_match(data, candidate, position, search_limit)
-                self._emit_sequence(
-                    out, data, anchor, position, position - candidate, length
-                )
-                tokens += 1
-                matches += 1
-                matched_bytes += length
-                position += length
-                anchor = position
-            else:
                 position += 1
+                continue
+            # "Expand searching in buffer": extend the verified 4-byte
+            # seed forward, capped by the search margin and by the
+            # paper's ml.
+            max_length = search_limit - position
+            if max_search_length is not None and max_search_length < max_length:
+                max_length = max_search_length
+            length = _MIN_MATCH
+            while (
+                length < max_length
+                and data[candidate + length] == data[position + length]
+            ):
+                length += 1
+            # Sequence: token, literal-length extension, literals,
+            # little-endian offset, match-length extension.
+            literal_length = position - anchor
+            match_code = length - _MIN_MATCH
+            out.append(
+                (literal_length if literal_length < _TOKEN_MAX else _TOKEN_MAX)
+                << 4
+                | (match_code if match_code < _TOKEN_MAX else _TOKEN_MAX)
+            )
+            if literal_length >= _TOKEN_MAX:
+                _write_length(out, literal_length - _TOKEN_MAX)
+            out += data[anchor:position]
+            offset = position - candidate
+            out.append(offset & 0xFF)
+            out.append(offset >> 8)
+            if match_code >= _TOKEN_MAX:
+                _write_length(out, match_code - _TOKEN_MAX)
+            matches += 1
+            matched_bytes += length
+            position += length
+            anchor = position
 
         # Final all-literal sequence (always present, even if empty, so the
         # decoder can terminate on a literals-only token).
@@ -170,13 +200,13 @@ class Lz4(StatefulCompressor):
         if literal_length >= _TOKEN_MAX:
             _write_length(out, literal_length - _TOKEN_MAX)
         out.extend(data[anchor:])
-        tokens += 1
+        tokens = matches + 1
 
         payload = bytes(out)
         counters = {
             "input_bytes": float(n),
             "probes": float(probes),
-            "table_updates": float(updates),
+            "table_updates": float(probes),
             "matches": float(matches),
             "matched_bytes": float(matched_bytes),
             "literal_bytes": float(n - matched_bytes),
@@ -184,7 +214,7 @@ class Lz4(StatefulCompressor):
             "matched_fraction": matched_bytes / n if n else 0.0,
         }
         step_costs = self._step_costs(
-            n, probes, updates, matches, matched_bytes, tokens, len(payload)
+            n, probes, probes, matches, matched_bytes, tokens, len(payload)
         )
         return CompressionResult(
             payload=payload,
@@ -192,46 +222,6 @@ class Lz4(StatefulCompressor):
             step_costs=step_costs,
             counters=counters,
         )
-
-    def _expand_match(
-        self, data: bytes, candidate: int, position: int, limit: int
-    ) -> int:
-        """Length of the match between ``candidate`` and ``position``.
-
-        This is the paper's "expand searching in buffer" — forward
-        extension past the verified 4-byte seed, capped by the search
-        margin and optionally by ``max_search_length``.
-        """
-        length = _MIN_MATCH
-        max_length = limit - position
-        if self.max_search_length is not None:
-            max_length = min(max_length, self.max_search_length)
-        while (
-            length < max_length
-            and data[candidate + length] == data[position + length]
-        ):
-            length += 1
-        return length
-
-    @staticmethod
-    def _emit_sequence(
-        out: bytearray,
-        data: bytes,
-        anchor: int,
-        position: int,
-        offset: int,
-        match_length: int,
-    ) -> None:
-        literal_length = position - anchor
-        token_literals = min(literal_length, _TOKEN_MAX)
-        token_match = min(match_length - _MIN_MATCH, _TOKEN_MAX)
-        out.append((token_literals << 4) | token_match)
-        if literal_length >= _TOKEN_MAX:
-            _write_length(out, literal_length - _TOKEN_MAX)
-        out.extend(data[anchor:position])
-        out.extend(offset.to_bytes(2, "little"))
-        if match_length - _MIN_MATCH >= _TOKEN_MAX:
-            _write_length(out, match_length - _MIN_MATCH - _TOKEN_MAX)
 
     def decompress(self, payload: bytes) -> bytes:
         if len(payload) < _HEADER.size:

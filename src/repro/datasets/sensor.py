@@ -51,18 +51,23 @@ class SensorDataset(Dataset):
     def _generate_tuples(self, tuple_count: int, rng: np.random.Generator) -> bytes:
         if tuple_count == 0:
             return b""
-        values = rng.integers(10_000, 60_000, size=self.station_count)
+        # Draw whole arrays, then walk plain ints: clipping numpy
+        # scalars per record would cost more than the rest of the
+        # generator. Memoryviews hand the ints out one at a time.
+        values = rng.integers(10_000, 60_000, size=self.station_count).tolist()
         steps = rng.integers(
             -self.value_walk_step, self.value_walk_step + 1, size=tuple_count
         )
         stations = rng.integers(0, self.station_count, size=tuple_count)
         records = []
-        for i in range(tuple_count):
-            station = int(stations[i])
-            values[station] = int(
-                np.clip(values[station] + steps[i], 0, 99_999)
-            )
-            records.append(_RECORD_TEMPLATE % (station, values[station]))
+        for station, step in zip(memoryview(stations), memoryview(steps)):
+            value = values[station] + step
+            if value < 0:
+                value = 0
+            elif value > 99_999:
+                value = 99_999
+            values[station] = value
+            records.append(_RECORD_TEMPLATE % (station, value))
         text = "".join(records)
         data = text.encode("ascii")
         if len(data) != tuple_count * _RECORD_BYTES:

@@ -57,12 +57,20 @@ class StockDataset(Dataset):
         steps = rng.integers(
             -self.price_step, self.price_step + 1, size=tuple_count
         )
-        prices = np.full(self.instrument_count, self.base_price, dtype=np.int64)
+        # Walk plain ints rather than numpy scalars; the floor at one
+        # cent keeps the walk sequential. Memoryviews hand the ints out
+        # one at a time, so the walk builds no per-tuple lists.
+        prices = [self.base_price] * self.instrument_count
         payloads = np.empty(tuple_count, dtype=np.uint32)
-        for i in range(tuple_count):
-            instrument = instruments[i]
-            prices[instrument] = max(1, prices[instrument] + steps[i])
-            payloads[i] = prices[instrument] & 0xFFFFFFFF
+        out = memoryview(payloads)
+        for index, (instrument, step) in enumerate(
+            zip(memoryview(instruments), memoryview(steps))
+        ):
+            price = prices[instrument] + step
+            if price < 1:
+                price = 1
+            prices[instrument] = price
+            out[index] = price & 0xFFFFFFFF
         tuples = np.empty(tuple_count * 2, dtype=np.uint32)
         tuples[0::2] = keys
         tuples[1::2] = payloads

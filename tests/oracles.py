@@ -1,7 +1,8 @@
 """Scalar reference implementations the test suite checks ``src`` against.
 
 The package ships one implementation per mechanism — the vectorized
-codec encoders, lz4's numpy hashing and the table-driven cost model.
+codec encoders, lz4's numpy hashing, the array-pass dataset generators
+and the table-driven cost model.
 The straightforward loops they replaced live here, so parity tests can
 compare both on the same inputs without a second path in the package:
 
@@ -10,6 +11,13 @@ compare both on the same inputs without a second path in the package:
   :class:`~repro.compression.bitio.BitWriter`;
 * :class:`Tdic32Reference` — Algorithm 4 word by word, table read then
   overwrite;
+* :class:`Lz4Reference` — lz4's greedy parse verifying each candidate
+  with a 4-byte slice compare, one helper call per match;
+* :class:`MltcReference` — mltc's split, encoder and decoder one sample
+  at a time through :func:`predict_reference`;
+* :func:`sensor_reference`, :func:`stock_reference` and
+  :func:`micro_symbol_reference` — the dataset generators' per-tuple
+  loops over numpy scalars, drawing the same arrays in the same order;
 * :func:`evaluate_reference` — Eqs 1-7 per replica straight from the
   fitted curves and the communication table, no lookup tables, built
   on :func:`compute_latency_reference` and :func:`task_energy_reference`.
@@ -18,13 +26,32 @@ compare both on the same inputs without a second path in the package:
 from __future__ import annotations
 
 import struct
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.compression.bitio import BitWriter
+from repro.compression.base import CompressionResult
+from repro.compression.bitio import BitReader, BitWriter, bits_required
+from repro.compression.lz4 import (
+    _HEADER as _LZ4_HEADER,
+    _MATCH_SEARCH_MARGIN,
+    _MAX_OFFSET,
+    _MIN_MATCH,
+    _TOKEN_MAX,
+    Lz4,
+    _write_length,
+)
+from repro.compression.mltc import (
+    _CHANNEL_HEADER,
+    _HEADER as _MLTC_HEADER,
+    _SEGMENT,
+    _WORD_BYTES,
+    _WORD_MAX,
+    Mltc,
+)
 from repro.compression.tdic32 import tdic32_hash
 from repro.core.plan import PlanEstimate, SchedulingPlan, TaskEstimate
+from repro.errors import CorruptStreamError
 from repro.simcore.hardware import replication_factor
 
 _HEADER = struct.Struct("<I")
@@ -202,3 +229,312 @@ def _finish_reference(model, plan, estimates, core_load) -> PlanEstimate:
         core_load_us_per_byte=core_load,
         critical_path_us_per_byte=path_to[plan.graph.stage_count - 1],
     )
+
+
+class Lz4Reference(Lz4):
+    """lz4's greedy parse with a per-position scalar hash, a 4-byte slice
+    compare per candidate and helper calls per match."""
+
+    def _expand_match(
+        self, data: bytes, candidate: int, position: int, limit: int
+    ) -> int:
+        length = _MIN_MATCH
+        max_length = limit - position
+        if self.max_search_length is not None:
+            max_length = min(max_length, self.max_search_length)
+        while (
+            length < max_length
+            and data[candidate + length] == data[position + length]
+        ):
+            length += 1
+        return length
+
+    @staticmethod
+    def _emit_sequence(
+        out: bytearray,
+        data: bytes,
+        anchor: int,
+        position: int,
+        offset: int,
+        match_length: int,
+    ) -> None:
+        literal_length = position - anchor
+        token_literals = min(literal_length, _TOKEN_MAX)
+        token_match = min(match_length - _MIN_MATCH, _TOKEN_MAX)
+        out.append((token_literals << 4) | token_match)
+        if literal_length >= _TOKEN_MAX:
+            _write_length(out, literal_length - _TOKEN_MAX)
+        out.extend(data[anchor:position])
+        out.extend(offset.to_bytes(2, "little"))
+        if match_length - _MIN_MATCH >= _TOKEN_MAX:
+            _write_length(out, match_length - _MIN_MATCH - _TOKEN_MAX)
+
+    def compress(self, data: bytes) -> CompressionResult:
+        out = bytearray(_LZ4_HEADER.pack(len(data)))
+        n = len(data)
+        table = [-1] * (1 << self.index_bits)
+        probes = updates = matches = matched_bytes = tokens = 0
+        anchor = 0
+        position = 0
+        search_limit = n - _MATCH_SEARCH_MARGIN
+        while position < search_limit:
+            slot = hash4(data, position, self.index_bits)
+            probes += 1
+            candidate = table[slot]
+            table[slot] = position
+            updates += 1
+            if (
+                candidate >= 0
+                and position - candidate <= _MAX_OFFSET
+                and data[candidate:candidate + _MIN_MATCH]
+                == data[position:position + _MIN_MATCH]
+            ):
+                length = self._expand_match(
+                    data, candidate, position, search_limit
+                )
+                self._emit_sequence(
+                    out, data, anchor, position, position - candidate, length
+                )
+                tokens += 1
+                matches += 1
+                matched_bytes += length
+                position += length
+                anchor = position
+            else:
+                position += 1
+        literal_length = n - anchor
+        out.append(min(literal_length, _TOKEN_MAX) << 4)
+        if literal_length >= _TOKEN_MAX:
+            _write_length(out, literal_length - _TOKEN_MAX)
+        out.extend(data[anchor:])
+        tokens += 1
+        payload = bytes(out)
+        counters = {
+            "input_bytes": float(n),
+            "probes": float(probes),
+            "table_updates": float(updates),
+            "matches": float(matches),
+            "matched_bytes": float(matched_bytes),
+            "literal_bytes": float(n - matched_bytes),
+            "tokens": float(tokens),
+            "matched_fraction": matched_bytes / n if n else 0.0,
+        }
+        step_costs = self._step_costs(
+            n, probes, updates, matches, matched_bytes, tokens, len(payload)
+        )
+        return CompressionResult(
+            payload=payload,
+            input_size=n,
+            step_costs=step_costs,
+            counters=counters,
+        )
+
+
+def predict_reference(base: int, end: int, offset: int, length: int) -> int:
+    """mltc's linear interpolation in Python ints and floats."""
+    return round(base + (end - base) * offset / length)
+
+
+def _zigzag(value: int) -> int:
+    return 2 * value if value >= 0 else -2 * value - 1
+
+
+def _unzigzag(value: int) -> int:
+    return value // 2 if value % 2 == 0 else -(value // 2) - 1
+
+
+class MltcReference(Mltc):
+    """mltc with every split, predictor and residual handled per sample."""
+
+    def compress(self, data: bytes) -> CompressionResult:
+        word_count = len(data) // _WORD_BYTES
+        tail = data[word_count * _WORD_BYTES:]
+        channel_values: List[List[int]] = [[] for _ in range(self.channels)]
+        for index in range(word_count):
+            (value,) = struct.unpack_from("<I", data, index * _WORD_BYTES)
+            channel_values[index % self.channels].append(value)
+        blobs: List[bytes] = []
+        updates_per_channel: List[int] = []
+        segments_per_channel: List[int] = []
+        for values in channel_values:
+            blob, updates, segments = self._encode_channel(values)
+            blobs.append(blob)
+            updates_per_channel.append(updates)
+            segments_per_channel.append(segments)
+        out = bytearray(
+            _MLTC_HEADER.pack(len(data), self.channels, self.epsilon, len(tail))
+        )
+        for blob in blobs:
+            out.extend(struct.pack("<I", len(blob)))
+            out.extend(blob)
+        out.extend(tail)
+        payload = bytes(out)
+        segment_total = sum(segments_per_channel)
+        counters = {
+            "input_bytes": float(len(data)),
+            "words": float(word_count),
+            "segments": float(segment_total),
+            "cone_updates": float(sum(updates_per_channel)),
+            "mean_segment_length": (
+                word_count / segment_total if segment_total else 0.0
+            ),
+        }
+        step_costs = self._step_costs(
+            input_bytes=len(data),
+            payload_bytes=len(payload),
+            channel_values=channel_values,
+            blobs=blobs,
+            updates_per_channel=updates_per_channel,
+            segments_per_channel=segments_per_channel,
+        )
+        return CompressionResult(
+            payload=payload,
+            input_size=len(data),
+            step_costs=step_costs,
+            counters=counters,
+        )
+
+    def _encode_channel(self, values: List[int]) -> Tuple[bytes, int, int]:
+        n = len(values)
+        if n == 0:
+            return _CHANNEL_HEADER.pack(0, 0, 0, 0), 0, 0
+        epsilon = self.epsilon
+        anchor = values[0]
+        segments: List[Tuple[int, int]] = []
+        updates = 0
+        start = 0
+        while start < n - 1:
+            upper = float("inf")
+            lower = float("-inf")
+            end = start + 1
+            position = start + 1
+            while position < n:
+                span = position - start
+                high = (values[position] + epsilon - anchor) / span
+                low = (values[position] - epsilon - anchor) / span
+                updates += 1
+                next_upper = min(upper, high)
+                next_lower = max(lower, low)
+                if next_lower > next_upper:
+                    break
+                upper, lower = next_upper, next_lower
+                end = position
+                position += 1
+            length = end - start
+            slope = (upper + lower) / 2.0
+            end_anchor = round(anchor + slope * length)
+            end_anchor = min(max(end_anchor, 0), _WORD_MAX)
+            segments.append((length, end_anchor))
+            anchor = end_anchor
+            start = end
+        predictions = self.reconstruct_reference(values[0], segments, n)
+        residuals = [value - predicted
+                     for value, predicted in zip(values, predictions)]
+        width = max(bits_required(_zigzag(r)) for r in residuals)
+        writer = BitWriter()
+        for residual in residuals:
+            writer.write(_zigzag(residual), width)
+        blob = bytearray(
+            _CHANNEL_HEADER.pack(n, values[0], len(segments), width)
+        )
+        for length, end_anchor in segments:
+            blob.extend(_SEGMENT.pack(length, end_anchor))
+        blob.extend(writer.getvalue())
+        return bytes(blob), updates, len(segments)
+
+    @staticmethod
+    def reconstruct_reference(
+        first: int, segments: List[Tuple[int, int]], count: int
+    ) -> List[int]:
+        predictions = [first]
+        anchor = first
+        for length, end_anchor in segments:
+            for offset in range(1, length + 1):
+                predictions.append(
+                    predict_reference(anchor, end_anchor, offset, length)
+                )
+            anchor = end_anchor
+        if len(predictions) != count:
+            raise CorruptStreamError(
+                f"mltc segment lengths cover {len(predictions)} samples, "
+                f"expected {count}"
+            )
+        return predictions
+
+    def decode_channel_reference(self, blob: bytes) -> List[int]:
+        """One channel blob back to its samples, one residual read at a
+        time."""
+        count, first, segment_count, width = _CHANNEL_HEADER.unpack_from(blob)
+        if count == 0:
+            return []
+        position = _CHANNEL_HEADER.size
+        segments = []
+        for _ in range(segment_count):
+            segments.append(_SEGMENT.unpack_from(blob, position))
+            position += _SEGMENT.size
+        predictions = self.reconstruct_reference(first, segments, count)
+        reader = BitReader(blob[position:])
+        return [predicted + _unzigzag(reader.read(width))
+                for predicted in predictions]
+
+
+def sensor_reference(dataset, tuple_count: int, rng) -> bytes:
+    """``SensorDataset._generate_tuples`` with a numpy-scalar clip per
+    record."""
+    if tuple_count == 0:
+        return b""
+    values = rng.integers(10_000, 60_000, size=dataset.station_count)
+    steps = rng.integers(
+        -dataset.value_walk_step, dataset.value_walk_step + 1, size=tuple_count
+    )
+    stations = rng.integers(0, dataset.station_count, size=tuple_count)
+    records = []
+    for i in range(tuple_count):
+        station = int(stations[i])
+        values[station] = int(np.clip(values[station] + steps[i], 0, 99_999))
+        records.append("<s%04d v=%05d/>" % (station, values[station]))
+    return "".join(records).encode("ascii")
+
+
+def stock_reference(dataset, tuple_count: int, rng) -> bytes:
+    """``StockDataset._generate_tuples`` walking prices in an int64
+    array."""
+    if tuple_count == 0:
+        return b""
+    gaps = rng.integers(1, 8, size=tuple_count, dtype=np.uint32)
+    keys = (np.cumsum(gaps, dtype=np.uint64) + (1 << 20)).astype(np.uint32)
+    instruments = rng.integers(0, dataset.instrument_count, size=tuple_count)
+    steps = rng.integers(
+        -dataset.price_step, dataset.price_step + 1, size=tuple_count
+    )
+    prices = np.full(dataset.instrument_count, dataset.base_price, dtype=np.int64)
+    payloads = np.empty(tuple_count, dtype=np.uint32)
+    for i in range(tuple_count):
+        instrument = instruments[i]
+        prices[instrument] = max(1, prices[instrument] + steps[i])
+        payloads[i] = prices[instrument] & 0xFFFFFFFF
+    tuples = np.empty(tuple_count * 2, dtype=np.uint32)
+    tuples[0::2] = keys
+    tuples[1::2] = payloads
+    return tuples.tobytes()
+
+
+def micro_symbol_reference(dataset, tuple_count: int, rng) -> bytes:
+    """``MicroDataset._generate_symbol_stream`` indexing numpy arrays
+    per symbol."""
+    fresh = rng.integers(
+        0, dataset.dynamic_range, size=tuple_count, dtype=np.uint32
+    )
+    if dataset.symbol_duplication <= 0.0:
+        return fresh.tobytes()
+    values = np.empty(tuple_count, dtype=np.uint32)
+    reuse = rng.random(tuple_count) < dataset.symbol_duplication
+    pool_picks = rng.integers(0, 512, size=tuple_count)
+    pool = fresh[rng.integers(0, tuple_count, size=512)].copy()
+    for i in range(tuple_count):
+        if reuse[i] and i > 0:
+            values[i] = pool[pool_picks[i]]
+        else:
+            values[i] = fresh[i]
+            pool[pool_picks[i]] = fresh[i]
+    return values.tobytes()

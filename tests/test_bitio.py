@@ -1,10 +1,17 @@
 """Bit-level I/O: the foundation every codec builds on."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.bitio import BitReader, BitWriter, bits_required
+from repro.compression.bitio import (
+    BitReader,
+    BitWriter,
+    bits_required,
+    pack_codes,
+    unpack_codes,
+)
 from repro.errors import CorruptStreamError
 
 
@@ -215,3 +222,41 @@ class TestRoundTrip:
         for width in widths:
             expected = (1 << width) - 1 if width else 0
             assert reader.read(width) == expected
+
+
+class TestUnpackCodes:
+    """``unpack_codes`` is the fixed-width inverse of ``pack_codes``."""
+
+    @pytest.mark.parametrize("width", range(1, 57))
+    def test_pack_then_unpack_is_identity(self, width):
+        rng = np.random.default_rng(width)
+        top = (1 << width) - 1
+        for count in (1, 2, 3, 7, 8, 9, 100):
+            codes = rng.integers(0, top, size=count, dtype=np.uint64,
+                                 endpoint=True)
+            codes[0] = top  # all-ones code: the widest window
+            packed = pack_codes(codes, np.full(count, width, np.uint64))
+            unpacked = unpack_codes(packed, width, count)
+            assert unpacked.dtype == np.uint64
+            assert np.array_equal(unpacked, codes)
+            reader = BitReader(packed)
+            assert [reader.read(width) for _ in range(count)] == (
+                codes.tolist()
+            )
+
+    def test_reads_only_the_requested_codes(self):
+        packed = pack_codes(np.array([5, 6, 7], dtype=np.uint64),
+                            np.full(3, 3, np.uint64))
+        assert unpack_codes(packed + b"\xff" * 4, 3, 2).tolist() == [5, 6]
+
+    def test_zero_width_and_zero_count(self):
+        assert unpack_codes(b"", 0, 4).tolist() == [0, 0, 0, 0]
+        assert unpack_codes(b"", 9, 0).tolist() == []
+
+    def test_short_data_raises(self):
+        with pytest.raises(CorruptStreamError):
+            unpack_codes(b"\x00\x00", 9, 2)
+
+    def test_width_past_window_rejected(self):
+        with pytest.raises(ValueError):
+            unpack_codes(b"\x00" * 16, 57, 1)
