@@ -65,9 +65,12 @@ Severity model: **error** findings make the CLI exit 1; **warning**
 findings are printed but only fail with ``--strict``. CI runs the
 verifier over every cell the smoke job traces.
 
-This module is importable with the standard library alone (plans and
-cost models are duck-typed), so :mod:`repro.obs.check` can reuse the
-trace checks without dragging in the simulator.
+Plans and cost models are duck-typed, and the health checks read the
+raw JSON, so a malformed report yields findings rather than exceptions.
+The health reports' field lists and the fleet's breaker and backoff
+constants are imported from their owners (:mod:`repro.obs.health`,
+:mod:`repro.fleet.breaker`, :mod:`repro.fleet.backoff`), never copied;
+:mod:`repro.obs.check` reuses the trace and health checks.
 """
 
 from __future__ import annotations
@@ -80,6 +83,16 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.fleet.backoff import BackoffPolicy
+from repro.fleet.breaker import LEGAL_TRANSITIONS
+from repro.obs.health import (
+    FleetHealth,
+    SessionHealth,
+    WindowHealth,
+    float_fields,
+    load_health,
+)
 
 __all__ = [
     "VerifyFinding",
@@ -750,7 +763,10 @@ _KNOWN_PATHS = ("local", "c0", "c1", "c2")
 
 def _health_number(value: Any) -> Optional[float]:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer beyond float range
+            return math.inf
     return None
 
 
@@ -760,8 +776,7 @@ def verify_health(payload: Any) -> List[VerifyFinding]:
     Expects the report to be schema-valid already
     (:func:`repro.obs.check.validate_health` runs the schema layer);
     here only the cross-field arithmetic is enforced, duck-typed over
-    the raw JSON so this module stays importable with the standard
-    library alone.
+    the raw JSON.
     """
     findings: List[VerifyFinding] = []
     if not isinstance(payload, dict):
@@ -773,38 +788,9 @@ def verify_health(payload: Any) -> List[VerifyFinding]:
         if not isinstance(window, dict):
             continue
         where = f"windows[{index}]"
-        # HLT003 — everything finite
-        numeric: List[Tuple[str, Any]] = [
-            (name, window.get(name))
-            for name in (
-                "measured_latency_us_per_byte",
-                "predicted_latency_us_per_byte",
-                "latency_residual_us_per_byte",
-                "measured_energy_uj_per_byte",
-                "predicted_energy_uj_per_byte",
-                "energy_residual_uj_per_byte",
-                "unattributed_us_per_byte",
-            )
-        ]
-        components = window.get("components")
-        components = components if isinstance(components, list) else []
-        for c_index, component in enumerate(components):
-            if isinstance(component, dict):
-                numeric.append((
-                    f"components[{c_index}].residual_us_per_byte",
-                    component.get("residual_us_per_byte"),
-                ))
-                numeric.append((
-                    f"components[{c_index}].score",
-                    component.get("score"),
-                ))
-        attribution = window.get("attribution")
-        if isinstance(attribution, dict):
-            for name in ("score", "residual_us_per_byte", "confidence"):
-                numeric.append((f"attribution.{name}",
-                                attribution.get(name)))
+        # HLT003 — every float field of the window schema is finite
         finite = True
-        for name, value in numeric:
+        for name, value in float_fields(WindowHealth, window):
             parsed = _health_number(value)
             if parsed is None or not math.isfinite(parsed):
                 finite = False
@@ -818,6 +804,9 @@ def verify_health(payload: Any) -> List[VerifyFinding]:
                 )
         if not finite:
             continue
+        components = window.get("components")
+        components = components if isinstance(components, list) else []
+        attribution = window.get("attribution")
         # HLT001 — components + unattributed == window residual
         residual = float(window["latency_residual_us_per_byte"])
         attributed = sum(
@@ -895,18 +884,11 @@ def verify_health(payload: Any) -> List[VerifyFinding]:
 # FLT001-FLT005 — fleet health reports (schema v2)
 # ---------------------------------------------------------------------------
 
-#: legal breaker edges — mirrors repro.fleet.breaker.LEGAL_TRANSITIONS
-#: (duplicated so this module stays stdlib-importable)
-_FLEET_BREAKER_EDGES = frozenset({
-    ("closed", "open"),
-    ("open", "half-open"),
-    ("half-open", "closed"),
-    ("half-open", "open"),
-})
-
-#: FLT005 bound: the default BackoffPolicy's jittered cap,
-#: cap_windows * (1 + jitter) = 8 * 1.25
-_FLEET_BACKOFF_CAP_WINDOWS = 10.0
+#: FLT005 bound: the default BackoffPolicy's jittered cap
+_DEFAULT_BACKOFF = BackoffPolicy()
+_FLEET_BACKOFF_CAP_WINDOWS = (
+    _DEFAULT_BACKOFF.cap_windows * (1.0 + _DEFAULT_BACKOFF.jitter)
+)
 
 _RETRY_DELAY_PATTERN = re.compile(r"retry in ([0-9][0-9.]*) windows")
 
@@ -1033,7 +1015,7 @@ def verify_fleet_health(payload: Any) -> List[VerifyFinding]:
                         location=f"windows[{w_index}]",
                     )
                 )
-            if (from_state, to_state) not in _FLEET_BREAKER_EDGES:
+            if (from_state, to_state) not in LEGAL_TRANSITIONS:
                 findings.append(
                     VerifyFinding(
                         code="FLT003",
@@ -1173,30 +1155,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             status = 2
             continue
         try:
-            payload = json.loads(text)
+            schema, payload = load_health(text)
         except json.JSONDecodeError as error:
-            # An NDJSON tail of per-window health records (the format
-            # `cstream --health-out` streams) is one JSON object per
-            # line; wrap it into a session-shaped payload.
-            try:
-                records = [
-                    json.loads(line)
-                    for line in text.splitlines()
-                    if line.strip()
-                ]
-            except json.JSONDecodeError:
-                records = []
-            if records and all(isinstance(r, dict) for r in records):
-                payload = {"windows": records}
-            else:
-                print(
-                    f"{path}: unreadable trace: {error}", file=sys.stderr
-                )
-                status = 2
-                continue
-        if isinstance(payload, dict) and payload.get("schema_version") == 2:
+            print(f"{path}: unreadable trace: {error}", file=sys.stderr)
+            status = 2
+            continue
+        if schema is FleetHealth:
             checked = verify_fleet_health(payload)
-        elif isinstance(payload, dict) and "windows" in payload:
+        elif schema is WindowHealth:
+            # an NDJSON tail (the format `cstream --health-out` streams)
+            checked = verify_health({"windows": payload})
+        elif schema is SessionHealth:
             checked = verify_health(payload)
         else:
             checked = verify_chrome_payload(payload)

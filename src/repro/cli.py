@@ -774,26 +774,35 @@ def _command_serve(args) -> int:
 def _command_top(args) -> int:
     import time
 
-    from repro.obs.health import FleetHealth, SessionHealth
+    from repro.obs.health import (
+        FleetHealth,
+        SessionHealth,
+        WindowHealth,
+        load_health,
+    )
     from repro.obs.live import (
         fleet_prometheus_text,
         prometheus_text,
-        read_ndjson,
         render_fleet_top,
         render_top,
     )
 
     def _load():
-        """(windows, session) from NDJSON tail or a full health JSON."""
+        """(windows, session) from a health file; None windows: fleet."""
         with open(args.health, "r", encoding="utf-8") as stream:
             text = stream.read()
-        stripped = text.lstrip()
-        if stripped.startswith("{") and '"schema_version": 2' in stripped:
-            return None, FleetHealth.from_json(text)
-        if stripped.startswith("{") and '"windows"' in stripped:
-            session = SessionHealth.from_json(text)
+        # a tail still waiting for its first window renders empty
+        schema, payload = (
+            load_health(text) if text.strip() else (WindowHealth, [])
+        )
+        if schema is FleetHealth:
+            return None, FleetHealth.from_record(payload)
+        if schema is SessionHealth:
+            session = SessionHealth.from_record(payload)
             return list(session.windows), session
-        windows = read_ndjson(text.splitlines())
+        if schema is not WindowHealth:
+            raise ReproError(f"{args.health}: not a health report")
+        windows = [WindowHealth.from_record(record) for record in payload]
         session = SessionHealth(
             label=os.path.basename(args.health),
             board="unknown",

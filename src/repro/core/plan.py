@@ -177,9 +177,9 @@ class SchedulingPlan:
         :meth:`~repro.core.scheduler.Scheduler.schedule` call when
         ``REPRO_VALIDATE_PLANS=1`` (the test suite's default).
         """
-        # Imported lazily: repro.analysis.verify is stdlib-only, but
-        # keeping it out of module scope avoids import-time coupling of
-        # the core data model to the analysis tooling.
+        # Imported lazily: keeping repro.analysis.verify out of module
+        # scope avoids import-time coupling of the core data model to
+        # the analysis tooling (which imports the fleet and obs layers).
         from repro.analysis.verify import verify_plan
 
         from repro.errors import InvariantViolationError

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from repro.errors import ConfigurationError
+from repro.obs.health import BREAKER_STATES, BreakerState
 
 __all__ = [
     "BREAKER_STATES",
@@ -30,7 +31,8 @@ __all__ = [
     "replay_transitions",
 ]
 
-BREAKER_STATES = ("closed", "open", "half-open")
+# BREAKER_STATES ("closed", "open", "half-open") is a field type of the
+# fleet health report, declared once with it in repro.obs.health.
 
 #: the legal edges of the state machine (FLT003)
 LEGAL_TRANSITIONS = frozenset({
@@ -63,8 +65,8 @@ class BreakerTransition:
 
     board_index: int
     window_index: int
-    from_state: str
-    to_state: str
+    from_state: BreakerState
+    to_state: BreakerState
     #: "threshold" (failures hit the trip point), "cooldown" (probe
     #: window reached), "probe-success", "probe-failure"
     reason: str
@@ -76,13 +78,15 @@ class CircuitBreaker:
 
     board_index: int
     config: BreakerConfig = field(default_factory=BreakerConfig)
-    state: str = "closed"
+    state: BreakerState = "closed"
     consecutive_failures: int = 0
     #: window the breaker last opened in (meaningful while open)
     opened_at_window: int = -1
     transitions: List[BreakerTransition] = field(default_factory=list)
 
-    def _move(self, window: int, to_state: str, reason: str) -> None:
+    def _move(
+        self, window: int, to_state: BreakerState, reason: str
+    ) -> None:
         edge = (self.state, to_state)
         if edge not in LEGAL_TRANSITIONS:
             raise ConfigurationError(

@@ -51,11 +51,13 @@ from repro.fleet.registry import BoardHandle
 from repro.fleet.tenants import TenantWorkload
 from repro.numerics import ordered_sum
 from repro.obs.health import (
+    EventKind,
     FleetBoardHealth,
     FleetEvent,
     FleetHealth,
     FleetTenantHealth,
     FleetWindowHealth,
+    TenantState,
 )
 
 __all__ = ["GatewayConfig", "Gateway"]
@@ -114,8 +116,7 @@ class _BoardState:
 @dataclass
 class _TenantState:
     workload: TenantWorkload
-    #: "pending", "queued", "running", "stranded", "rejected"
-    state: str = "pending"
+    state: TenantState = "pending"
     board_index: Optional[int] = None
     placement: Optional[Placement] = None
     controller: Optional[SessionController] = None
@@ -215,7 +216,7 @@ class Gateway:
     def _emit(
         self,
         window: int,
-        kind: str,
+        kind: EventKind,
         tenant_id: Optional[int],
         board_index: Optional[int],
         detail: str,
@@ -324,7 +325,7 @@ class Gateway:
         tenant.ever_admitted = True
         tenant.throttle_seen = False
 
-    def _evict(self, tenant: _TenantState, state: str) -> None:
+    def _evict(self, tenant: _TenantState, state: TenantState) -> None:
         tenant.state = state
         if state != "stranded":
             tenant.board_index = None

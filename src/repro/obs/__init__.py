@@ -33,11 +33,14 @@ real hardware:
   reports naming the most-implicated component per window (degraded
   link, retry-heavy stage, underperforming core) with confidence; the
   controller consumes these as its ``reason="diagnosis"`` trigger.
+  Its dataclasses are the one schema of the session (v1) and fleet
+  (v2) reports: JSON, parsing, finiteness and validation all derive
+  from their field types.
 * :mod:`~repro.obs.live` — live telemetry export: NDJSON tail
   (``cstream top``) and Prometheus-style text exposition.
-* :mod:`~repro.obs.check` — a dependency-free validator for the
-  exported trace files and health reports (used by CI on the traced
-  smoke run and the chaos health artifact).
+* :mod:`~repro.obs.check` — the validator for the exported trace
+  files and health reports (used by CI on the traced smoke run and the
+  chaos and fleet health artifacts).
 """
 
 from repro.obs.registry import (

@@ -1,25 +1,27 @@
-"""Validate exported trace files and session health reports.
+"""Validate exported trace files and session/fleet health reports.
 
-Dependency-free checker for the Chrome trace-event JSON written by
-:func:`repro.obs.export.write_chrome_trace` and for the session health
-reports of :mod:`repro.obs.health` — CI runs it on the traced smoke
-cell and on the chaos health artifact before uploading either::
+Checker for the Chrome trace-event JSON written by
+:func:`repro.obs.export.write_chrome_trace` and for the health reports
+of :mod:`repro.obs.health` — CI runs it on the traced smoke cell and on
+the chaos and fleet health artifacts before uploading them::
 
     python -m repro.obs.check trace.json
     python -m repro.obs.check --health health.json
     python -m repro.obs.check --health health.ndjsonl
 
-``--health`` accepts either a full ``SessionHealth`` JSON document or
-an NDJSON tail of per-window records. Exit status 0 means the file is
-a loadable trace with well-formed events; 1 lists every violation
-found. The trace checks come in two layers:
+``--health`` accepts a session (v1) or fleet (v2) health report, or an
+NDJSON tail of per-window records (:func:`repro.obs.health.load_health`
+reads all three). Their schema is the dataclasses of
+:mod:`repro.obs.health`, walked by
+:func:`~repro.obs.health.schema_problems`; the invariants come from
+:mod:`repro.analysis.verify`. Exit status 0 means the file is valid; 1
+lists every violation found. The trace checks come in two layers:
 
 * **schema** — what Perfetto and ``chrome://tracing`` require to render
   the file: known phases, numeric non-negative timestamps/durations,
   integer pid/tid, args of the right shape per phase;
 * **stream invariants** — delegated to
-  :func:`repro.analysis.verify.verify_chrome_payload` (itself
-  stdlib-only, so this module stays dependency-free) so the two tools
+  :func:`repro.analysis.verify.verify_chrome_payload` so the two tools
   cannot drift: per-track non-decreasing timestamps, monotone energy
   counters, non-overlapping spans (``TRC001``-``TRC007``). Only
   error-severity findings fail validation; warnings (e.g. ``TRC004``
@@ -29,7 +31,6 @@ found. The trace checks come in two layers:
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import sys
 from typing import Any, List
@@ -38,6 +39,14 @@ from repro.analysis.verify import (
     verify_chrome_payload,
     verify_fleet_health,
     verify_health,
+)
+from repro.obs.health import (
+    FleetHealth,
+    SessionHealth,
+    WindowHealth,
+    health_schema,
+    load_health,
+    schema_problems,
 )
 
 __all__ = [
@@ -120,328 +129,49 @@ def validate_trace(payload: Any) -> List[str]:
     return problems
 
 
-#: exact field sets of the health-report schema (version 1); the
-#: validator rejects both missing and unexpected keys so schema drift
-#: between writer and checker cannot pass silently.
-_HEALTH_SESSION_FIELDS = {
-    "schema_version", "label", "board",
-    "latency_constraint_us_per_byte", "windows",
-}
-_HEALTH_WINDOW_FIELDS = {
-    "window_index",
-    "measured_latency_us_per_byte", "predicted_latency_us_per_byte",
-    "latency_residual_us_per_byte",
-    "measured_energy_uj_per_byte", "predicted_energy_uj_per_byte",
-    "energy_residual_uj_per_byte",
-    "components", "unattributed_us_per_byte",
-    "violated", "anomalous", "attribution",
-}
-_HEALTH_COMPONENT_FIELDS = {"kind", "key", "residual_us_per_byte", "score"}
-_HEALTH_ATTRIBUTION_FIELDS = {
-    "kind", "key", "score", "residual_us_per_byte", "confidence",
-}
-_COMPONENT_KINDS = {"core", "path", "retry"}
-
-
-def _finite(value: Any) -> bool:
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(float(value))
-    )
-
-
-def _check_fields(
-    where: str, record: Any, expected: set, problems: List[str]
-) -> bool:
-    if not isinstance(record, dict):
-        problems.append(f"{where}: not an object")
-        return False
-    missing = expected - record.keys()
-    extra = record.keys() - expected
-    for name in sorted(missing):
-        problems.append(f"{where}: missing field {name!r}")
-    for name in sorted(extra):
-        problems.append(f"{where}: unexpected field {name!r}")
-    return not missing
-
-
-def _check_health_window(index: int, window: Any, problems: List[str]) -> None:
-    where = f"windows[{index}]"
-    if not _check_fields(where, window, _HEALTH_WINDOW_FIELDS, problems):
-        return
-    if not isinstance(window["window_index"], int) or isinstance(
-        window["window_index"], bool
-    ):
-        problems.append(f"{where}: 'window_index' must be an integer")
-    for name in (
-        "measured_latency_us_per_byte", "predicted_latency_us_per_byte",
-        "latency_residual_us_per_byte", "measured_energy_uj_per_byte",
-        "predicted_energy_uj_per_byte", "energy_residual_uj_per_byte",
-        "unattributed_us_per_byte",
-    ):
-        if not _finite(window[name]):
-            problems.append(f"{where}: {name!r} must be a finite number")
-    for name in ("violated", "anomalous"):
-        if not isinstance(window[name], bool):
-            problems.append(f"{where}: {name!r} must be a boolean")
-    components = window["components"]
-    if not isinstance(components, list):
-        problems.append(f"{where}: 'components' must be an array")
-    else:
-        for c_index, component in enumerate(components):
-            c_where = f"{where}.components[{c_index}]"
-            if not _check_fields(
-                c_where, component, _HEALTH_COMPONENT_FIELDS, problems
-            ):
-                continue
-            if component["kind"] not in _COMPONENT_KINDS:
-                problems.append(
-                    f"{c_where}: unknown kind {component['kind']!r}")
-            if not isinstance(component["key"], str) or not component["key"]:
-                problems.append(f"{c_where}: 'key' must be a non-empty string")
-            for name in ("residual_us_per_byte", "score"):
-                if not _finite(component[name]):
-                    problems.append(
-                        f"{c_where}: {name!r} must be a finite number")
-    attribution = window["attribution"]
-    if attribution is not None and _check_fields(
-        f"{where}.attribution", attribution,
-        _HEALTH_ATTRIBUTION_FIELDS, problems,
-    ):
-        a_where = f"{where}.attribution"
-        if attribution["kind"] not in _COMPONENT_KINDS:
-            problems.append(
-                f"{a_where}: unknown kind {attribution['kind']!r}")
-        if (
-            not isinstance(attribution["key"], str)
-            or not attribution["key"]
-        ):
-            problems.append(f"{a_where}: 'key' must be a non-empty string")
-        for name in ("score", "residual_us_per_byte", "confidence"):
-            if not _finite(attribution[name]):
-                problems.append(
-                    f"{a_where}: {name!r} must be a finite number")
-
-
-# -- fleet health (schema v2) -------------------------------------------------
-
-_FLEET_SESSION_FIELDS = {
-    "schema_version", "label", "arm", "seed", "board_count",
-    "tenant_count", "energy_budget_uj_per_window", "windows", "events",
-}
-_FLEET_WINDOW_FIELDS = {
-    "window_index", "boards", "tenants", "violations", "energy_uj",
-}
-_FLEET_BOARD_FIELDS = {
-    "board_index", "name", "kind", "alive", "breaker_state",
-    "consecutive_failures", "throttled_mhz", "max_core_load",
-    "tenants_running", "rpc_failures",
-}
-_FLEET_TENANT_FIELDS = {
-    "tenant_id", "name", "priority", "state", "board_index",
-    "l_set_us_per_byte", "modeled_latency_us_per_byte",
-    "measured_latency_us_per_byte", "modeled_energy_uj_per_byte",
-    "violated",
-}
-_FLEET_EVENT_FIELDS = {
-    "sequence", "window_index", "kind", "tenant_id", "board_index",
-    "detail",
-}
-_FLEET_BREAKER_STATES = {"closed", "open", "half-open"}
-_FLEET_TENANT_STATES = {
-    "pending", "queued", "running", "stranded", "rejected",
-}
-_FLEET_EVENT_KINDS = {
-    "admit", "reject", "queue", "retry", "shed", "failover", "breaker",
-    "board-crash", "board-reboot", "board-throttle", "rpc-failure",
-}
-
-
-def _check_int(where: str, value: Any, problems: List[str]) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        problems.append(f"{where}: must be an integer")
-
-
-def _check_fleet_window(index: int, window: Any, problems: List[str]) -> None:
-    where = f"windows[{index}]"
-    if not _check_fields(where, window, _FLEET_WINDOW_FIELDS, problems):
-        return
-    _check_int(f"{where}.window_index", window["window_index"], problems)
-    _check_int(f"{where}.violations", window["violations"], problems)
-    if not _finite(window["energy_uj"]):
-        problems.append(f"{where}: 'energy_uj' must be a finite number")
-    boards = window["boards"]
-    if not isinstance(boards, list):
-        problems.append(f"{where}: 'boards' must be an array")
-        boards = []
-    for b_index, board in enumerate(boards):
-        b_where = f"{where}.boards[{b_index}]"
-        if not _check_fields(b_where, board, _FLEET_BOARD_FIELDS, problems):
-            continue
-        _check_int(f"{b_where}.board_index", board["board_index"], problems)
-        _check_int(
-            f"{b_where}.consecutive_failures",
-            board["consecutive_failures"], problems,
-        )
-        _check_int(f"{b_where}.tenants_running",
-                   board["tenants_running"], problems)
-        _check_int(f"{b_where}.rpc_failures",
-                   board["rpc_failures"], problems)
-        if not isinstance(board["alive"], bool):
-            problems.append(f"{b_where}: 'alive' must be a boolean")
-        if board["breaker_state"] not in _FLEET_BREAKER_STATES:
-            problems.append(
-                f"{b_where}: unknown breaker state "
-                f"{board['breaker_state']!r}")
-        if board["throttled_mhz"] is not None and not _finite(
-            board["throttled_mhz"]
-        ):
-            problems.append(
-                f"{b_where}: 'throttled_mhz' must be null or finite")
-        if not _finite(board["max_core_load"]):
-            problems.append(
-                f"{b_where}: 'max_core_load' must be a finite number")
-    tenants = window["tenants"]
-    if not isinstance(tenants, list):
-        problems.append(f"{where}: 'tenants' must be an array")
-        tenants = []
-    for t_index, tenant in enumerate(tenants):
-        t_where = f"{where}.tenants[{t_index}]"
-        if not _check_fields(t_where, tenant, _FLEET_TENANT_FIELDS, problems):
-            continue
-        _check_int(f"{t_where}.tenant_id", tenant["tenant_id"], problems)
-        _check_int(f"{t_where}.priority", tenant["priority"], problems)
-        if tenant["state"] not in _FLEET_TENANT_STATES:
-            problems.append(
-                f"{t_where}: unknown tenant state {tenant['state']!r}")
-        if tenant["board_index"] is not None:
-            _check_int(
-                f"{t_where}.board_index", tenant["board_index"], problems)
-        for name in (
-            "l_set_us_per_byte", "modeled_latency_us_per_byte",
-            "measured_latency_us_per_byte", "modeled_energy_uj_per_byte",
-        ):
-            if not _finite(tenant[name]):
-                problems.append(
-                    f"{t_where}: {name!r} must be a finite number")
-        if not isinstance(tenant["violated"], bool):
-            problems.append(f"{t_where}: 'violated' must be a boolean")
+def _errors(findings) -> List[str]:
+    return [f.format() for f in findings if f.severity == "error"]
 
 
 def validate_fleet_health(payload: Any) -> List[str]:
-    """All schema violations in a parsed fleet health report (v2).
+    """All problems of a parsed fleet health report (v2).
 
-    Schema problems first; when the shape is sound the fleet invariants
-    (``FLT001``-``FLT005``) are delegated to
+    Schema problems (:func:`repro.obs.health.schema_problems` against
+    :class:`~repro.obs.health.FleetHealth`) first; when the shape is
+    sound, the fleet invariants (``FLT001``-``FLT005``) of
     :func:`repro.analysis.verify.verify_fleet_health`.
     """
-    problems: List[str] = []
-    if not _check_fields(
-        "top level", payload, _FLEET_SESSION_FIELDS, problems
-    ):
-        return problems
-    for name in ("label", "arm"):
-        if not isinstance(payload[name], str) or not payload[name]:
-            problems.append(f"top level: {name!r} must be a non-empty string")
-    for name in ("schema_version", "seed", "board_count", "tenant_count"):
-        _check_int(f"top level.{name}", payload[name], problems)
-    if not _finite(payload["energy_budget_uj_per_window"]):
-        problems.append(
-            "top level: 'energy_budget_uj_per_window' must be a finite "
-            "number")
-    windows = payload["windows"]
-    if not isinstance(windows, list):
-        return problems + ["top level: 'windows' must be an array"]
-    for index, window in enumerate(windows):
-        _check_fleet_window(index, window, problems)
-    events = payload["events"]
-    if not isinstance(events, list):
-        return problems + ["top level: 'events' must be an array"]
-    for index, event in enumerate(events):
-        e_where = f"events[{index}]"
-        if not _check_fields(e_where, event, _FLEET_EVENT_FIELDS, problems):
-            continue
-        _check_int(f"{e_where}.sequence", event["sequence"], problems)
-        _check_int(f"{e_where}.window_index", event["window_index"], problems)
-        if event["kind"] not in _FLEET_EVENT_KINDS:
-            problems.append(
-                f"{e_where}: unknown event kind {event['kind']!r}")
-        if event["tenant_id"] is not None:
-            _check_int(f"{e_where}.tenant_id", event["tenant_id"], problems)
-        if event["board_index"] is not None:
-            _check_int(
-                f"{e_where}.board_index", event["board_index"], problems)
-        if not isinstance(event["detail"], str):
-            problems.append(f"{e_where}: 'detail' must be a string")
-    if not problems:
-        for finding in verify_fleet_health(payload):
-            if finding.severity == "error":
-                problems.append(finding.format())
-    return problems
+    problems = schema_problems(FleetHealth, payload)
+    return problems or _errors(verify_fleet_health(payload))
+
+
+def _validate_window(record: Any) -> List[str]:
+    """Problems of one per-window record (an NDJSON tail line)."""
+    problems = schema_problems(WindowHealth, record, "windows[0]")
+    return problems or _errors(verify_health({"windows": [record]}))
 
 
 def validate_health(payload: Any) -> List[str]:
-    """All schema violations in a parsed health report (empty = valid).
+    """All problems of a parsed health report (empty = valid).
 
-    Accepts a full session report (object with ``windows``), a single
-    per-window NDJSON record, or a fleet report — dispatched on
-    ``schema_version`` 2. Schema problems are reported first; when the
-    shape is sound the arithmetic invariants (``HLT001``-``HLT003``, or
-    ``FLT001``-``FLT005`` for fleet reports) are delegated to
-    :mod:`repro.analysis.verify` so the two tools cannot drift.
+    Accepts a session report (v1), a fleet report (v2) or a single
+    per-window NDJSON record, told apart by
+    :func:`repro.obs.health.health_schema`. Schema problems are
+    reported first; when the shape is sound the invariants
+    (``HLT001``-``HLT003``, or ``FLT001``-``FLT005`` for fleet reports)
+    are delegated to :mod:`repro.analysis.verify`.
     """
-    problems: List[str] = []
-    if isinstance(payload, dict) and payload.get("schema_version") == 2:
+    schema = health_schema(payload)
+    if schema is FleetHealth:
         return validate_fleet_health(payload)
-    if isinstance(payload, dict) and "windows" not in payload:
-        # A lone NDJSON window record.
-        _check_health_window(0, payload, problems)
-        if not problems:
-            for finding in verify_health({"windows": [payload]}):
-                if finding.severity == "error":
-                    problems.append(finding.format())
-        return problems
-    if not _check_fields(
-        "top level", payload, _HEALTH_SESSION_FIELDS, problems
-    ):
-        return problems
-    if not isinstance(payload["schema_version"], int):
-        problems.append("top level: 'schema_version' must be an integer")
-    for name in ("label", "board"):
-        if not isinstance(payload[name], str) or not payload[name]:
-            problems.append(f"top level: {name!r} must be a non-empty string")
-    if not _finite(payload["latency_constraint_us_per_byte"]):
+    if schema is WindowHealth:
+        return _validate_window(payload)
+    problems = schema_problems(SessionHealth, payload)
+    if schema is None and not problems:
         problems.append(
-            "top level: 'latency_constraint_us_per_byte' must be a "
-            "finite number")
-    windows = payload["windows"]
-    if not isinstance(windows, list):
-        return problems + ["top level: 'windows' must be an array"]
-    for index, window in enumerate(windows):
-        _check_health_window(index, window, problems)
-    if not problems:
-        for finding in verify_health(payload):
-            if finding.severity == "error":
-                problems.append(finding.format())
-    return problems
-
-
-def _load_health(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as source:
-        text = source.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        # Fall back to an NDJSON tail of per-window records.
-        records = [
-            json.loads(line)
-            for line in text.splitlines()
-            if line.strip()
-        ]
-        if not records:
-            raise
-        return records
+            "top level: unknown schema_version "
+            f"{payload['schema_version']!r}")
+    return problems or _errors(verify_health(payload))
 
 
 def main(argv=None) -> int:
@@ -458,26 +188,27 @@ def main(argv=None) -> int:
     path = argv[0]
     if health_mode:
         try:
-            payload = _load_health(path)
+            with open(path, "r", encoding="utf-8") as source:
+                schema, payload = load_health(source.read())
         except (OSError, json.JSONDecodeError) as error:
             print(f"{path}: unreadable health report: {error}",
                   file=sys.stderr)
             return 1
-        if isinstance(payload, list):
-            problems = []
-            for index, record in enumerate(payload):
-                for problem in validate_health(record):
-                    problems.append(f"line {index + 1}: {problem}")
-            count = len(payload)
+        if schema is WindowHealth:
+            problems = [
+                f"line {index + 1}: {problem}"
+                for index, record in enumerate(payload)
+                for problem in _validate_window(record)
+            ]
         else:
             problems = validate_health(payload)
-            count = len(payload.get("windows", []) or [])
         if problems:
             for problem in problems:
                 print(f"{path}: {problem}", file=sys.stderr)
             print(f"{path}: INVALID ({len(problems)} problems)",
                   file=sys.stderr)
             return 1
+        count = len(payload if schema is WindowHealth else payload["windows"])
         print(f"{path}: OK ({count} windows)")
         return 0
     try:

@@ -13,25 +13,39 @@ and every tenant (placement, SLO compliance, energy), plus the ordered
 event log (admissions, rejections, sheds, failovers, breaker
 transitions, board faults) that makes the run replayable.
 
-Both reports round-trip through JSON (``to_json``/``from_json``) and are
-what :mod:`repro.obs.check` validates and :mod:`repro.obs.live` streams;
-:mod:`repro.analysis.verify` enforces their invariants (HLT001-003 for
-v1, FLT001-005 for v2 — dispatched on ``schema_version``).
+The dataclasses below are the only statement of both formats. Their
+field types — ``int``, ``float``, ``bool``, ``str``, a ``Literal`` of
+the allowed values, ``Optional[X]``, ``Tuple[X, ...]`` or a nested
+record — drive one walker that provides the JSON records
+(``to_record``/``from_record``, ``to_json``/``from_json``), the
+finiteness check (``finite``) and the schema validation
+(:func:`schema_problems`, which :mod:`repro.obs.check` runs).
+:func:`load_health` reads any health file (v1, v2 or an NDJSON tail)
+and :mod:`repro.analysis.verify` enforces the reports' invariants
+(HLT001-003 for v1, FLT001-005 for v2).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import (Any, Dict, Iterator, List, Literal, Optional, Tuple,
+                    Type, TypeVar, Union, get_args, get_origin,
+                    get_type_hints)
 
-from repro.obs.residuals import WindowResidual
+from repro.obs.residuals import ComponentKind, WindowResidual
 
 __all__ = [
     "HEALTH_SCHEMA_VERSION",
     "FLEET_HEALTH_SCHEMA_VERSION",
+    "BREAKER_STATES",
+    "BreakerState",
+    "TenantState",
+    "EventKind",
     "Attribution",
+    "Component",
     "WindowHealth",
     "SessionHealth",
     "build_window_health",
@@ -40,6 +54,10 @@ __all__ = [
     "FleetEvent",
     "FleetWindowHealth",
     "FleetHealth",
+    "schema_problems",
+    "float_fields",
+    "health_schema",
+    "load_health",
 ]
 
 HEALTH_SCHEMA_VERSION = 1
@@ -48,13 +66,224 @@ FLEET_HEALTH_SCHEMA_VERSION = 2
 #: anomaly score above which a window's top component is named
 DEFAULT_ANOMALY_THRESHOLD = 3.0
 
+BreakerState = Literal["closed", "open", "half-open"]
+#: "running", "queued" (awaiting admission/re-admission), "stranded"
+#: (board dead, no failover arm), "rejected" (final), or "pending"
+#: (not yet tried)
+TenantState = Literal["pending", "queued", "running", "stranded", "rejected"]
+EventKind = Literal[
+    "admit", "reject", "queue", "retry", "shed", "failover", "breaker",
+    "board-crash", "board-reboot", "board-throttle", "rpc-failure",
+]
+
+#: the circuit breaker's states (:mod:`repro.fleet.breaker` re-exports
+#: them)
+BREAKER_STATES: Tuple[str, ...] = get_args(BreakerState)
+
+
+# -- the schema walker --------------------------------------------------------
+
+R = TypeVar("R", bound="_Record")
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(cls: Any) -> Tuple[Tuple[str, Any], ...]:
+    """(field name, resolved type) of a record class, in field order."""
+    hints = get_type_hints(cls)
+    return tuple((field.name, hints[field.name]) for field in fields(cls))
+
+
+def _optional(hint: Any) -> Any:
+    """``X`` for ``Optional[X]``, else None."""
+    if get_origin(hint) is Union:
+        return next(arg for arg in get_args(hint) if arg is not type(None))
+    return None
+
+
+def _is_record(hint: Any) -> bool:
+    return isinstance(hint, type) and issubclass(hint, _Record)
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, _Record):
+        return {
+            name: _encode(getattr(value, name))
+            for name, _ in _schema(type(value))
+        }
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
+
+
+def _decode(hint: Any, raw: Any) -> Any:
+    inner = _optional(hint)
+    if inner is not None:
+        return None if raw is None else _decode(inner, raw)
+    if get_origin(hint) is tuple:
+        return tuple(_decode(get_args(hint)[0], item) for item in raw)
+    if get_origin(hint) is Literal:
+        return str(raw)
+    if _is_record(hint):
+        return hint(**{
+            name: _decode(sub, raw[name]) for name, sub in _schema(hint)
+        })
+    return hint(raw)
+
+
+def _finite(value: Any) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a JSON integer beyond float range
+        return False
+
+
+#: scalar field type -> (accepts a parsed JSON value, what it expects)
+_SCALARS = {
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool),
+          "an integer"),
+    float: (lambda v: isinstance(v, (int, float))
+            and not isinstance(v, bool) and _finite(v),
+            "a finite number"),
+    str: (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+}
+
+
+def _check(
+    hint: Any, raw: Any, where: str, name: Optional[str],
+    problems: List[str],
+) -> None:
+    """Check ``raw``: field ``name`` of the object at ``where``, or (with
+    ``name`` None) the object at ``where`` itself."""
+    subject = where or "top level"
+    if name is not None:
+        subject += f": {name!r}"
+        path = f"{where}.{name}" if where else name
+    else:
+        subject += ":"
+        path = where
+    inner = _optional(hint)
+    if inner is not None:
+        if raw is not None:
+            _check(inner, raw, where, name, problems)
+        return
+    if raw is None:
+        problems.append(f"{subject} must not be null")
+    elif get_origin(hint) is tuple:
+        if not isinstance(raw, list):
+            problems.append(f"{subject} must be an array")
+            return
+        for index, item in enumerate(raw):
+            _check(get_args(hint)[0], item, f"{path}[{index}]", None,
+                   problems)
+    elif get_origin(hint) is Literal:
+        if not isinstance(raw, str) or raw not in get_args(hint):
+            problems.append(
+                f"{subject} unknown value {raw!r} "
+                f"(expected one of {', '.join(get_args(hint))})")
+    elif _is_record(hint):
+        if not isinstance(raw, dict):
+            problems.append(f"{subject} must be an object")
+            return
+        schema = _schema(hint)
+        names = [field_name for field_name, _ in schema]
+        where_record = path or "top level"
+        problems.extend(
+            f"{where_record}: missing field {field_name!r}"
+            for field_name in names if field_name not in raw
+        )
+        problems.extend(
+            f"{where_record}: unexpected field {key!r}"
+            for key in sorted(raw) if key not in names
+        )
+        for field_name, sub in schema:
+            if field_name in raw:
+                _check(sub, raw[field_name], path, field_name, problems)
+    else:
+        accepts, expected = _SCALARS[hint]
+        if not accepts(raw):
+            problems.append(f"{subject} must be {expected}")
+
+
+def schema_problems(cls: type, raw: Any, where: str = "") -> List[str]:
+    """Every way parsed JSON ``raw`` departs from record class ``cls``.
+
+    Field sets are exact (missing and unexpected keys both count);
+    integers must not be booleans, floats must be finite, strings
+    non-empty, ``Literal`` fields one of their values, and ``null`` is
+    allowed only where the type is ``Optional``. ``where`` prefixes the
+    locations (``"windows[0]"``); empty means the top level. No problems
+    means ``cls.from_record(raw)`` builds a well-formed report.
+    """
+    problems: List[str] = []
+    _check(cls, raw, where, None, problems)
+    return problems
+
+
+def float_fields(cls: type, raw: Any,
+                 prefix: str = "") -> Iterator[Tuple[str, Any]]:
+    """(path, value) of every float field of the parsed record ``raw``.
+
+    Follows ``cls``'s schema: a missing field yields None, an absent
+    optional value nothing, and a branch that is not an object or an
+    array is skipped (the schema layer reports those).
+    """
+    if not isinstance(raw, dict):
+        return
+    for name, hint in _schema(cls):
+        value = raw.get(name)
+        inner = _optional(hint)
+        if inner is not None:
+            if value is None:
+                continue
+            hint = inner
+        if hint is float:
+            yield prefix + name, value
+        elif get_origin(hint) is tuple and isinstance(value, list):
+            for index, item in enumerate(value):
+                yield from float_fields(
+                    get_args(hint)[0], item, f"{prefix}{name}[{index}].")
+        elif _is_record(hint):
+            yield from float_fields(hint, value, f"{prefix}{name}.")
+
+
+class _Record:
+    """JSON record methods every health dataclass derives from its fields."""
+
+    def to_record(self) -> Dict[str, Any]:
+        return _encode(self)
+
+    @classmethod
+    def from_record(cls: Type[R], record: Any) -> R:
+        return _decode(cls, record)
+
+    def finite(self) -> bool:
+        """True when every float in the record is finite."""
+        return all(
+            math.isfinite(value)
+            for _, value in float_fields(type(self), self.to_record())
+        )
+
+
+class _Report(_Record):
+    """A whole report: one indented, key-sorted JSON document."""
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_record(), indent=2, sort_keys=True)
+
+    @classmethod
+    def from_json(cls: Type[R], text: str) -> R:
+        return cls.from_record(json.loads(text))
+
+
+# -- session health (schema v1) ---------------------------------------------
+
 
 @dataclass(frozen=True)
-class Attribution:
+class Attribution(_Record):
     """The component a window's residual is pinned on."""
 
-    #: "path" (degraded link), "retry" (retry-heavy stage), "core"
-    kind: str
+    kind: ComponentKind
     #: path class ("c1"), stage index ("2"), or core id ("4")
     key: str
     score: float
@@ -72,7 +301,17 @@ class Attribution:
 
 
 @dataclass(frozen=True)
-class WindowHealth:
+class Component(_Record):
+    """One component's slice of a window's residual."""
+
+    kind: ComponentKind
+    key: str
+    residual_us_per_byte: float
+    score: float
+
+
+@dataclass(frozen=True)
+class WindowHealth(_Record):
     """One window's health record (one NDJSON line when streamed)."""
 
     window_index: int
@@ -82,81 +321,12 @@ class WindowHealth:
     measured_energy_uj_per_byte: float
     predicted_energy_uj_per_byte: float
     energy_residual_uj_per_byte: float
-    #: per-component residual slices, (kind, key, residual, score)
-    components: Tuple[Tuple[str, str, float, float], ...]
+    components: Tuple[Component, ...]
     unattributed_us_per_byte: float
     #: window violated the latency SLO on a steady batch
     violated: bool
     anomalous: bool
     attribution: Optional[Attribution]
-
-    def to_record(self) -> Dict[str, object]:
-        record: Dict[str, object] = {
-            "window_index": self.window_index,
-            "measured_latency_us_per_byte": self.measured_latency_us_per_byte,
-            "predicted_latency_us_per_byte": self.predicted_latency_us_per_byte,
-            "latency_residual_us_per_byte": self.latency_residual_us_per_byte,
-            "measured_energy_uj_per_byte": self.measured_energy_uj_per_byte,
-            "predicted_energy_uj_per_byte": self.predicted_energy_uj_per_byte,
-            "energy_residual_uj_per_byte": self.energy_residual_uj_per_byte,
-            "components": [
-                {"kind": kind, "key": key, "residual_us_per_byte": residual,
-                 "score": score}
-                for kind, key, residual, score in self.components
-            ],
-            "unattributed_us_per_byte": self.unattributed_us_per_byte,
-            "violated": self.violated,
-            "anomalous": self.anomalous,
-            "attribution": None,
-        }
-        if self.attribution is not None:
-            record["attribution"] = {
-                "kind": self.attribution.kind,
-                "key": self.attribution.key,
-                "score": self.attribution.score,
-                "residual_us_per_byte":
-                    self.attribution.residual_us_per_byte,
-                "confidence": self.attribution.confidence,
-            }
-        return record
-
-    @staticmethod
-    def from_record(record: Dict[str, object]) -> "WindowHealth":
-        attribution = None
-        raw = record.get("attribution")
-        if raw is not None:
-            attribution = Attribution(
-                kind=str(raw["kind"]),
-                key=str(raw["key"]),
-                score=float(raw["score"]),
-                residual_us_per_byte=float(raw["residual_us_per_byte"]),
-                confidence=float(raw["confidence"]),
-            )
-        return WindowHealth(
-            window_index=int(record["window_index"]),
-            measured_latency_us_per_byte=float(
-                record["measured_latency_us_per_byte"]),
-            predicted_latency_us_per_byte=float(
-                record["predicted_latency_us_per_byte"]),
-            latency_residual_us_per_byte=float(
-                record["latency_residual_us_per_byte"]),
-            measured_energy_uj_per_byte=float(
-                record["measured_energy_uj_per_byte"]),
-            predicted_energy_uj_per_byte=float(
-                record["predicted_energy_uj_per_byte"]),
-            energy_residual_uj_per_byte=float(
-                record["energy_residual_uj_per_byte"]),
-            components=tuple(
-                (str(c["kind"]), str(c["key"]),
-                 float(c["residual_us_per_byte"]), float(c["score"]))
-                for c in record["components"]
-            ),
-            unattributed_us_per_byte=float(
-                record["unattributed_us_per_byte"]),
-            violated=bool(record["violated"]),
-            anomalous=bool(record["anomalous"]),
-            attribution=attribution,
-        )
 
 
 def build_window_health(
@@ -196,7 +366,7 @@ def build_window_health(
         predicted_energy_uj_per_byte=residual.predicted_energy_uj_per_byte,
         energy_residual_uj_per_byte=residual.energy_residual_uj_per_byte,
         components=tuple(
-            (c.kind, c.key, c.residual_us_per_byte, c.score)
+            Component(c.kind, c.key, c.residual_us_per_byte, c.score)
             for c in residual.components
         ),
         unattributed_us_per_byte=residual.unattributed_us_per_byte,
@@ -207,7 +377,7 @@ def build_window_health(
 
 
 @dataclass(frozen=True)
-class SessionHealth:
+class SessionHealth(_Report):
     """Whole-session health report: the windows plus identity."""
 
     label: str
@@ -228,69 +398,19 @@ class SessionHealth:
     def anomalous_windows(self) -> Tuple[WindowHealth, ...]:
         return tuple(w for w in self.windows if w.anomalous)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "schema_version": self.schema_version,
-            "label": self.label,
-            "board": self.board,
-            "latency_constraint_us_per_byte":
-                self.latency_constraint_us_per_byte,
-            "windows": [w.to_record() for w in self.windows],
-        }, indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "SessionHealth":
-        payload = json.loads(text)
-        return SessionHealth(
-            label=str(payload["label"]),
-            board=str(payload["board"]),
-            latency_constraint_us_per_byte=float(
-                payload["latency_constraint_us_per_byte"]),
-            windows=tuple(
-                WindowHealth.from_record(w) for w in payload["windows"]
-            ),
-            schema_version=int(payload["schema_version"]),
-        )
-
-    def finite(self) -> bool:
-        """True when every numeric field in the report is finite."""
-        for window in self.windows:
-            values: List[float] = [
-                window.measured_latency_us_per_byte,
-                window.predicted_latency_us_per_byte,
-                window.latency_residual_us_per_byte,
-                window.measured_energy_uj_per_byte,
-                window.predicted_energy_uj_per_byte,
-                window.energy_residual_uj_per_byte,
-                window.unattributed_us_per_byte,
-            ]
-            for _kind, _key, residual, score in window.components:
-                values.append(residual)
-                values.append(score)
-            if window.attribution is not None:
-                values.extend([
-                    window.attribution.score,
-                    window.attribution.residual_us_per_byte,
-                    window.attribution.confidence,
-                ])
-            if not all(math.isfinite(v) for v in values):
-                return False
-        return math.isfinite(self.latency_constraint_us_per_byte)
-
 
 # -- fleet health (schema v2) -------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FleetBoardHealth:
+class FleetBoardHealth(_Record):
     """One board's state at the end of one gateway window."""
 
     board_index: int
     name: str
     kind: str
     alive: bool
-    #: circuit-breaker state: "closed", "open", or "half-open"
-    breaker_state: str
+    breaker_state: BreakerState
     consecutive_failures: int
     #: sustained DVFS cap in force, or None at nominal frequency
     throttled_mhz: Optional[float]
@@ -300,47 +420,15 @@ class FleetBoardHealth:
     #: window RPCs against this board that failed (after retries)
     rpc_failures: int
 
-    def to_record(self) -> Dict[str, object]:
-        return {
-            "board_index": self.board_index,
-            "name": self.name,
-            "kind": self.kind,
-            "alive": self.alive,
-            "breaker_state": self.breaker_state,
-            "consecutive_failures": self.consecutive_failures,
-            "throttled_mhz": self.throttled_mhz,
-            "max_core_load": self.max_core_load,
-            "tenants_running": self.tenants_running,
-            "rpc_failures": self.rpc_failures,
-        }
-
-    @staticmethod
-    def from_record(record: Dict[str, object]) -> "FleetBoardHealth":
-        throttled = record["throttled_mhz"]
-        return FleetBoardHealth(
-            board_index=int(record["board_index"]),
-            name=str(record["name"]),
-            kind=str(record["kind"]),
-            alive=bool(record["alive"]),
-            breaker_state=str(record["breaker_state"]),
-            consecutive_failures=int(record["consecutive_failures"]),
-            throttled_mhz=None if throttled is None else float(throttled),
-            max_core_load=float(record["max_core_load"]),
-            tenants_running=int(record["tenants_running"]),
-            rpc_failures=int(record["rpc_failures"]),
-        )
-
 
 @dataclass(frozen=True)
-class FleetTenantHealth:
+class FleetTenantHealth(_Record):
     """One tenant's state at the end of one gateway window."""
 
     tenant_id: int
     name: str
     priority: int
-    #: "running", "queued" (awaiting admission/re-admission),
-    #: "stranded" (board dead, no failover arm), or "rejected" (final)
-    state: str
+    state: TenantState
     #: hosting board while running/stranded, else None
     board_index: Optional[int]
     l_set_us_per_byte: float
@@ -350,81 +438,22 @@ class FleetTenantHealth:
     modeled_energy_uj_per_byte: float
     violated: bool
 
-    def to_record(self) -> Dict[str, object]:
-        return {
-            "tenant_id": self.tenant_id,
-            "name": self.name,
-            "priority": self.priority,
-            "state": self.state,
-            "board_index": self.board_index,
-            "l_set_us_per_byte": self.l_set_us_per_byte,
-            "modeled_latency_us_per_byte": self.modeled_latency_us_per_byte,
-            "measured_latency_us_per_byte": self.measured_latency_us_per_byte,
-            "modeled_energy_uj_per_byte": self.modeled_energy_uj_per_byte,
-            "violated": self.violated,
-        }
-
-    @staticmethod
-    def from_record(record: Dict[str, object]) -> "FleetTenantHealth":
-        board = record["board_index"]
-        return FleetTenantHealth(
-            tenant_id=int(record["tenant_id"]),
-            name=str(record["name"]),
-            priority=int(record["priority"]),
-            state=str(record["state"]),
-            board_index=None if board is None else int(board),
-            l_set_us_per_byte=float(record["l_set_us_per_byte"]),
-            modeled_latency_us_per_byte=float(
-                record["modeled_latency_us_per_byte"]),
-            measured_latency_us_per_byte=float(
-                record["measured_latency_us_per_byte"]),
-            modeled_energy_uj_per_byte=float(
-                record["modeled_energy_uj_per_byte"]),
-            violated=bool(record["violated"]),
-        )
-
 
 @dataclass(frozen=True)
-class FleetEvent:
+class FleetEvent(_Record):
     """One entry of the gateway's ordered event log."""
 
     #: running sequence number — total order across the whole run
     sequence: int
     window_index: int
-    #: "admit", "reject", "queue", "retry", "shed", "failover",
-    #: "breaker", "board-crash", "board-reboot", "board-throttle",
-    #: "rpc-failure"
-    kind: str
+    kind: EventKind
     tenant_id: Optional[int]
     board_index: Optional[int]
     detail: str
 
-    def to_record(self) -> Dict[str, object]:
-        return {
-            "sequence": self.sequence,
-            "window_index": self.window_index,
-            "kind": self.kind,
-            "tenant_id": self.tenant_id,
-            "board_index": self.board_index,
-            "detail": self.detail,
-        }
-
-    @staticmethod
-    def from_record(record: Dict[str, object]) -> "FleetEvent":
-        tenant = record["tenant_id"]
-        board = record["board_index"]
-        return FleetEvent(
-            sequence=int(record["sequence"]),
-            window_index=int(record["window_index"]),
-            kind=str(record["kind"]),
-            tenant_id=None if tenant is None else int(tenant),
-            board_index=None if board is None else int(board),
-            detail=str(record["detail"]),
-        )
-
 
 @dataclass(frozen=True)
-class FleetWindowHealth:
+class FleetWindowHealth(_Record):
     """One gateway window: every board and tenant, plus aggregates."""
 
     window_index: int
@@ -436,32 +465,9 @@ class FleetWindowHealth:
     #: modeled fleet energy spent this window, µJ
     energy_uj: float
 
-    def to_record(self) -> Dict[str, object]:
-        return {
-            "window_index": self.window_index,
-            "boards": [b.to_record() for b in self.boards],
-            "tenants": [t.to_record() for t in self.tenants],
-            "violations": self.violations,
-            "energy_uj": self.energy_uj,
-        }
-
-    @staticmethod
-    def from_record(record: Dict[str, object]) -> "FleetWindowHealth":
-        return FleetWindowHealth(
-            window_index=int(record["window_index"]),
-            boards=tuple(
-                FleetBoardHealth.from_record(b) for b in record["boards"]
-            ),
-            tenants=tuple(
-                FleetTenantHealth.from_record(t) for t in record["tenants"]
-            ),
-            violations=int(record["violations"]),
-            energy_uj=float(record["energy_uj"]),
-        )
-
 
 @dataclass(frozen=True)
-class FleetHealth:
+class FleetHealth(_Report):
     """Whole-run fleet health report (schema v2)."""
 
     label: str
@@ -501,56 +507,49 @@ class FleetHealth:
     def events_of(self, kind: str) -> Tuple[FleetEvent, ...]:
         return tuple(e for e in self.events if e.kind == kind)
 
-    # -- serialization -------------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "schema_version": self.schema_version,
-            "label": self.label,
-            "arm": self.arm,
-            "seed": self.seed,
-            "board_count": self.board_count,
-            "tenant_count": self.tenant_count,
-            "energy_budget_uj_per_window":
-                self.energy_budget_uj_per_window,
-            "windows": [w.to_record() for w in self.windows],
-            "events": [e.to_record() for e in self.events],
-        }, indent=2, sort_keys=True)
+# -- loading ------------------------------------------------------------------
 
-    @staticmethod
-    def from_json(text: str) -> "FleetHealth":
+_REPORTS: Dict[int, type] = {
+    HEALTH_SCHEMA_VERSION: SessionHealth,
+    FLEET_HEALTH_SCHEMA_VERSION: FleetHealth,
+}
+
+
+def health_schema(payload: Any) -> Optional[type]:
+    """The record class a parsed health document declares.
+
+    :class:`SessionHealth` or :class:`FleetHealth` by its
+    ``schema_version``; :class:`WindowHealth` for an unversioned object
+    with a ``window_index`` (one NDJSON window record); None for
+    anything else (an unknown version, or not a health report).
+    """
+    if not isinstance(payload, dict):
+        return None
+    version = payload.get("schema_version")
+    if version is None:
+        return WindowHealth if "window_index" in payload else None
+    return _REPORTS.get(version) if isinstance(version, int) else None
+
+
+def load_health(text: str) -> Tuple[Optional[type], Any]:
+    """Parse a health file into ``(record class, parsed JSON)``.
+
+    One JSON document dispatches on :func:`health_schema`; a lone
+    window record comes back as a one-record tail. Other text is read
+    as an NDJSON tail of objects, ``(WindowHealth, [record, ...])``,
+    blank lines skipped. Raises :class:`json.JSONDecodeError` when it
+    is neither.
+    """
+    try:
         payload = json.loads(text)
-        return FleetHealth(
-            label=str(payload["label"]),
-            arm=str(payload["arm"]),
-            seed=int(payload["seed"]),
-            board_count=int(payload["board_count"]),
-            tenant_count=int(payload["tenant_count"]),
-            energy_budget_uj_per_window=float(
-                payload["energy_budget_uj_per_window"]),
-            windows=tuple(
-                FleetWindowHealth.from_record(w) for w in payload["windows"]
-            ),
-            events=tuple(
-                FleetEvent.from_record(e) for e in payload["events"]
-            ),
-            schema_version=int(payload["schema_version"]),
-        )
-
-    def finite(self) -> bool:
-        """True when every numeric field in the report is finite."""
-        values: List[float] = [self.energy_budget_uj_per_window]
-        for window in self.windows:
-            values.append(window.energy_uj)
-            for board in window.boards:
-                values.append(board.max_core_load)
-                if board.throttled_mhz is not None:
-                    values.append(board.throttled_mhz)
-            for tenant in window.tenants:
-                values.extend([
-                    tenant.l_set_us_per_byte,
-                    tenant.modeled_latency_us_per_byte,
-                    tenant.measured_latency_us_per_byte,
-                    tenant.modeled_energy_uj_per_byte,
-                ])
-        return all(math.isfinite(v) for v in values)
+    except json.JSONDecodeError:
+        records = [json.loads(line) for line in text.splitlines()
+                   if line.strip()]
+        if not records or not all(isinstance(r, dict) for r in records):
+            raise
+        return WindowHealth, records
+    schema = health_schema(payload)
+    if schema is WindowHealth:
+        return schema, [payload]
+    return schema, payload

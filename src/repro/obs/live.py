@@ -20,9 +20,14 @@ zero-overhead-when-off contract.
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, List, Optional, Sequence
+from typing import IO, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.health import FleetHealth, SessionHealth, WindowHealth
+from repro.obs.health import (
+    BREAKER_STATES,
+    FleetHealth,
+    SessionHealth,
+    WindowHealth,
+)
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -71,6 +76,28 @@ def _prom_escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _metric(
+    lines: List[str],
+    name: str,
+    help_text: Optional[str],
+    kind: str,
+    samples: Iterable[Tuple[str, float]],
+) -> None:
+    """Append one metric family: HELP (when given), TYPE, its samples.
+
+    Each sample is ``(suffix, value)``, rendered ``{name}{suffix}
+    {value}``; the suffix carries the label set (or a summary's
+    ``_count``/``_sum``). Floats print with 9 significant digits,
+    integers as they are.
+    """
+    if help_text is not None:
+        lines.append(f"# HELP {name} {help_text}")
+    lines.append(f"# TYPE {name} {kind}")
+    for suffix, value in samples:
+        text = f"{value:.9g}" if isinstance(value, float) else str(value)
+        lines.append(f"{name}{suffix} {text}")
+
+
 def prometheus_text(
     health: SessionHealth,
     registry: Optional[MetricsRegistry] = None,
@@ -81,80 +108,66 @@ def prometheus_text(
     the session. When ``registry`` is given, its counters and timers
     are appended under the ``cstream_registry_`` prefix.
     """
-    label = _prom_escape(health.label)
+    tag = f'session="{_prom_escape(health.label)}"'
+    session = f"{{{tag}}}"
     lines: List[str] = []
-
-    def gauge(name: str, help_text: str, value: float,
-              extra: str = "") -> None:
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} gauge")
-        tags = f'session="{label}"' + (f",{extra}" if extra else "")
-        lines.append(f"{name}{{{tags}}} {value:.9g}")
-
-    gauge(
+    gauges = [(
         "cstream_latency_constraint_us_per_byte",
         "Session latency SLO (L_set), microseconds per byte.",
         health.latency_constraint_us_per_byte,
-    )
+    )]
     if health.windows:
         last = health.windows[-1]
-        gauge(
-            "cstream_window_latency_us_per_byte",
-            "Measured p-latency of the most recent window.",
-            last.measured_latency_us_per_byte,
-        )
-        gauge(
-            "cstream_window_latency_residual_us_per_byte",
-            "Model-vs-measured latency residual of the most recent window.",
-            last.latency_residual_us_per_byte,
-        )
-        gauge(
-            "cstream_window_energy_uj_per_byte",
-            "Measured dynamic energy of the most recent window.",
-            last.measured_energy_uj_per_byte,
-        )
-    violated = sum(1 for w in health.windows if w.violated)
-    anomalous = sum(1 for w in health.windows if w.anomalous)
-    lines.append(
-        "# HELP cstream_windows_total Windows observed this session.")
-    lines.append("# TYPE cstream_windows_total counter")
-    lines.append(
-        f'cstream_windows_total{{session="{label}"}} {len(health.windows)}')
-    lines.append(
-        "# HELP cstream_windows_violated_total Windows that violated "
-        "the latency SLO.")
-    lines.append("# TYPE cstream_windows_violated_total counter")
-    lines.append(
-        f'cstream_windows_violated_total{{session="{label}"}} {violated}')
-    lines.append(
-        "# HELP cstream_windows_anomalous_total Windows with an "
-        "anomalous residual attribution.")
-    lines.append("# TYPE cstream_windows_anomalous_total counter")
-    lines.append(
-        f'cstream_windows_anomalous_total{{session="{label}"}} {anomalous}')
+        gauges += [
+            ("cstream_window_latency_us_per_byte",
+             "Measured p-latency of the most recent window.",
+             last.measured_latency_us_per_byte),
+            ("cstream_window_latency_residual_us_per_byte",
+             "Model-vs-measured latency residual of the most recent "
+             "window.",
+             last.latency_residual_us_per_byte),
+            ("cstream_window_energy_uj_per_byte",
+             "Measured dynamic energy of the most recent window.",
+             last.measured_energy_uj_per_byte),
+        ]
+    for name, help_text, value in gauges:
+        _metric(lines, name, help_text, "gauge", [(session, value)])
+    for name, help_text, count in (
+        ("cstream_windows_total", "Windows observed this session.",
+         len(health.windows)),
+        ("cstream_windows_violated_total",
+         "Windows that violated the latency SLO.",
+         sum(1 for w in health.windows if w.violated)),
+        ("cstream_windows_anomalous_total",
+         "Windows with an anomalous residual attribution.",
+         sum(1 for w in health.windows if w.anomalous)),
+    ):
+        _metric(lines, name, help_text, "counter", [(session, count)])
     dominant = health.dominant()
     if dominant is not None:
-        lines.append(
-            "# HELP cstream_health_attribution_score Anomaly score of "
-            "the session's dominant attribution.")
-        lines.append("# TYPE cstream_health_attribution_score gauge")
-        lines.append(
-            f'cstream_health_attribution_score{{session="{label}",'
-            f'kind="{_prom_escape(dominant.kind)}",'
-            f'key="{_prom_escape(dominant.key)}"}} {dominant.score:.9g}')
+        labels = (
+            f'{{{tag},kind="{_prom_escape(dominant.kind)}",'
+            f'key="{_prom_escape(dominant.key)}"}}'
+        )
+        _metric(
+            lines, "cstream_health_attribution_score",
+            "Anomaly score of the session's dominant attribution.",
+            "gauge", [(labels, dominant.score)],
+        )
 
     if registry is not None:
         snapshot = registry.snapshot()
         for name in sorted(snapshot.get("counters", {})):
             metric = "cstream_registry_" + name.replace(".", "_")
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {snapshot['counters'][name]:.9g}")
+            _metric(lines, metric, None, "counter",
+                    [("", float(snapshot["counters"][name]))])
         for name in sorted(snapshot.get("timers", {})):
             entry = snapshot["timers"][name]
             metric = "cstream_registry_" + name.replace(".", "_")
-            lines.append(f"# TYPE {metric}_seconds summary")
-            lines.append(f"{metric}_seconds_count {entry['count']}")
-            lines.append(f"{metric}_seconds_sum {entry['total_s']:.9g}")
+            _metric(lines, metric + "_seconds", None, "summary", [
+                ("_count", entry["count"]),
+                ("_sum", float(entry["total_s"])),
+            ])
     return "\n".join(lines) + "\n"
 
 
@@ -166,104 +179,68 @@ def fleet_prometheus_text(health: FleetHealth) -> str:
     last window's values; fleet counters accumulate across the run.
     """
     fleet = _prom_escape(health.label)
+    run = f'{{fleet="{fleet}"}}'
     lines: List[str] = []
-    lines.append(
-        "# HELP cstream_fleet_windows_total Serving windows this run.")
-    lines.append("# TYPE cstream_fleet_windows_total counter")
-    lines.append(
-        f'cstream_fleet_windows_total{{fleet="{fleet}"}} '
-        f"{len(health.windows)}")
-    lines.append(
-        "# HELP cstream_fleet_violations_total Tenant-window SLO "
-        "violations this run.")
-    lines.append("# TYPE cstream_fleet_violations_total counter")
-    lines.append(
-        f'cstream_fleet_violations_total{{fleet="{fleet}"}} '
-        f"{health.total_violations()}")
-    for kind in ("shed", "failover", "rpc-failure"):
-        metric = "cstream_fleet_" + kind.replace("-", "_") + "s_total"
-        lines.append(f"# HELP {metric} Fleet {kind} events this run.")
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(
-            f'{metric}{{fleet="{fleet}"}} {len(health.events_of(kind))}')
-    lines.append(
-        "# HELP cstream_fleet_energy_budget_uj_per_window Fleet energy "
-        "budget, microjoules per window.")
-    lines.append("# TYPE cstream_fleet_energy_budget_uj_per_window gauge")
-    lines.append(
-        f'cstream_fleet_energy_budget_uj_per_window{{fleet="{fleet}"}} '
-        f"{health.energy_budget_uj_per_window:.9g}")
+    counters = [
+        ("cstream_fleet_windows_total", "Serving windows this run.",
+         len(health.windows)),
+        ("cstream_fleet_violations_total",
+         "Tenant-window SLO violations this run.",
+         health.total_violations()),
+    ] + [
+        ("cstream_fleet_" + kind.replace("-", "_") + "s_total",
+         f"Fleet {kind} events this run.", len(health.events_of(kind)))
+        for kind in ("shed", "failover", "rpc-failure")
+    ]
+    for name, help_text, count in counters:
+        _metric(lines, name, help_text, "counter", [(run, count)])
+    _metric(
+        lines, "cstream_fleet_energy_budget_uj_per_window",
+        "Fleet energy budget, microjoules per window.", "gauge",
+        [(run, health.energy_budget_uj_per_window)],
+    )
     if not health.windows:
         return "\n".join(lines) + "\n"
     last = health.windows[-1]
-    lines.append(
-        "# HELP cstream_fleet_board_alive Board liveness in the most "
-        "recent window (1 alive, 0 dead).")
-    lines.append("# TYPE cstream_fleet_board_alive gauge")
-    for board in last.boards:
-        lines.append(
-            f'cstream_fleet_board_alive{{fleet="{fleet}",'
-            f'board="{_prom_escape(board.name)}"}} '
-            f"{1 if board.alive else 0}")
-    lines.append(
-        "# HELP cstream_fleet_board_breaker_open Circuit breaker state "
-        "in the most recent window (1 open, 0.5 half-open, 0 closed).")
-    lines.append("# TYPE cstream_fleet_board_breaker_open gauge")
-    breaker_value = {"closed": 0.0, "half-open": 0.5, "open": 1.0}
-    for board in last.boards:
-        lines.append(
-            f'cstream_fleet_board_breaker_open{{fleet="{fleet}",'
-            f'board="{_prom_escape(board.name)}"}} '
-            f"{breaker_value[board.breaker_state]:.9g}")
-    lines.append(
-        "# HELP cstream_fleet_board_max_core_load Most-loaded core "
-        "utilization in the most recent window.")
-    lines.append("# TYPE cstream_fleet_board_max_core_load gauge")
-    for board in last.boards:
-        lines.append(
-            f'cstream_fleet_board_max_core_load{{fleet="{fleet}",'
-            f'board="{_prom_escape(board.name)}"}} '
-            f"{board.max_core_load:.9g}")
-    lines.append(
-        "# HELP cstream_fleet_tenant_l_set_us_per_byte Tenant latency "
-        "SLO (L_set), microseconds per byte.")
-    lines.append("# TYPE cstream_fleet_tenant_l_set_us_per_byte gauge")
-    for tenant in last.tenants:
-        lines.append(
-            f'cstream_fleet_tenant_l_set_us_per_byte{{fleet="{fleet}",'
-            f'tenant="{_prom_escape(tenant.name)}"}} '
-            f"{tenant.l_set_us_per_byte:.9g}")
-    lines.append(
-        "# HELP cstream_fleet_tenant_latency_us_per_byte Measured "
-        "tenant latency in the most recent window (running tenants).")
-    lines.append("# TYPE cstream_fleet_tenant_latency_us_per_byte gauge")
-    for tenant in last.tenants:
-        if tenant.state != "running":
-            continue
-        lines.append(
-            f'cstream_fleet_tenant_latency_us_per_byte{{fleet="{fleet}",'
-            f'tenant="{_prom_escape(tenant.name)}"}} '
-            f"{tenant.measured_latency_us_per_byte:.9g}")
-    lines.append(
-        "# HELP cstream_fleet_tenant_energy_uj_per_byte Modeled tenant "
-        "energy in the most recent window (running tenants).")
-    lines.append("# TYPE cstream_fleet_tenant_energy_uj_per_byte gauge")
-    for tenant in last.tenants:
-        if tenant.state != "running":
-            continue
-        lines.append(
-            f'cstream_fleet_tenant_energy_uj_per_byte{{fleet="{fleet}",'
-            f'tenant="{_prom_escape(tenant.name)}"}} '
-            f"{tenant.modeled_energy_uj_per_byte:.9g}")
-    lines.append(
-        "# HELP cstream_fleet_tenant_violated Tenant SLO violation in "
-        "the most recent window (1 violated).")
-    lines.append("# TYPE cstream_fleet_tenant_violated gauge")
-    for tenant in last.tenants:
-        lines.append(
-            f'cstream_fleet_tenant_violated{{fleet="{fleet}",'
-            f'tenant="{_prom_escape(tenant.name)}"}} '
-            f"{1 if tenant.violated else 0}")
+    breaker_value = dict(zip(BREAKER_STATES, (0.0, 1.0, 0.5)))
+    boards = [
+        (f'{{fleet="{fleet}",board="{_prom_escape(board.name)}"}}', board)
+        for board in last.boards
+    ]
+    tenants = [
+        (f'{{fleet="{fleet}",tenant="{_prom_escape(tenant.name)}"}}', tenant)
+        for tenant in last.tenants
+    ]
+    running = [(labels, t) for labels, t in tenants if t.state == "running"]
+    for name, help_text, samples in (
+        ("cstream_fleet_board_alive",
+         "Board liveness in the most recent window (1 alive, 0 dead).",
+         [(labels, 1 if b.alive else 0) for labels, b in boards]),
+        ("cstream_fleet_board_breaker_open",
+         "Circuit breaker state in the most recent window (1 open, 0.5 "
+         "half-open, 0 closed).",
+         [(labels, breaker_value[b.breaker_state]) for labels, b in boards]),
+        ("cstream_fleet_board_max_core_load",
+         "Most-loaded core utilization in the most recent window.",
+         [(labels, b.max_core_load) for labels, b in boards]),
+        ("cstream_fleet_tenant_l_set_us_per_byte",
+         "Tenant latency SLO (L_set), microseconds per byte.",
+         [(labels, t.l_set_us_per_byte) for labels, t in tenants]),
+        ("cstream_fleet_tenant_latency_us_per_byte",
+         "Measured tenant latency in the most recent window (running "
+         "tenants).",
+         [(labels, t.measured_latency_us_per_byte)
+          for labels, t in running]),
+        ("cstream_fleet_tenant_energy_uj_per_byte",
+         "Modeled tenant energy in the most recent window (running "
+         "tenants).",
+         [(labels, t.modeled_energy_uj_per_byte)
+          for labels, t in running]),
+        ("cstream_fleet_tenant_violated",
+         "Tenant SLO violation in the most recent window (1 violated).",
+         [(labels, 1 if t.violated else 0) for labels, t in tenants]),
+    ):
+        _metric(lines, name, help_text, "gauge", samples)
     return "\n".join(lines) + "\n"
 
 

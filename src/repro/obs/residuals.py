@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Literal, Mapping, Optional, Tuple, get_args
 
 import numpy as np
 
@@ -57,7 +57,8 @@ __all__ = [
 ]
 
 #: component kinds the ledger attributes residuals to
-COMPONENT_KINDS = ("core", "path", "retry")
+ComponentKind = Literal["core", "path", "retry"]
+COMPONENT_KINDS: Tuple[str, ...] = get_args(ComponentKind)
 
 
 @dataclass(frozen=True)
@@ -229,8 +230,7 @@ def predicted_breakdown(
 class ResidualComponent:
     """One attributed slice of a window's latency residual."""
 
-    #: one of :data:`COMPONENT_KINDS`
-    kind: str
+    kind: ComponentKind
     #: core id ("4"), path class ("c1") or retried stage index ("2")
     key: str
     measured_us_per_byte: float

@@ -347,6 +347,36 @@ class TestResidualDiagnosis:
         assert validate_health(payload) == []
         assert verify_health(payload) == []
 
+    def test_health_outputs_are_byte_pinned(self, interconnect_run):
+        import hashlib
+        import io
+
+        from repro.obs.health import SessionHealth
+        from repro.obs.live import NdjsonTail, prometheus_text, render_top
+        from repro.obs.registry import MetricsRegistry
+
+        health = interconnect_run.health
+        tail = io.StringIO()
+        NdjsonTail(tail).emit_session(health)
+        registry = MetricsRegistry()
+        registry.inc("cells", 3)
+        registry.observe("phase", 0.5)
+        outputs = (
+            health.to_json(),
+            tail.getvalue(),
+            prometheus_text(health, registry),
+            render_top(health.windows, health.latency_constraint_us_per_byte),
+        )
+        assert tuple(
+            hashlib.sha256(text.encode()).hexdigest() for text in outputs
+        ) == (
+            "84eb81e49c3ca40e65617522158b0d6cdc8ff23c7e42c2aecd681e25c1957c81",
+            "a44dc63c77cbce15226b9680642def62ca869e13fe50283628ff303ccd460356",
+            "581b6504fec14fe80fd5125984be3ccde8f9dd7a6acfdefb71fbfca1ec9bf549",
+            "192c43c57d5c29925cc3cd284423fe491354d3ba03ed7ec6e1824315a865c1e3",
+        )
+        assert SessionHealth.from_json(health.to_json()) == health
+
     def test_heartbeat_scenarios_stay_heartbeat_driven(self, failure_run):
         # Telemetry defaults on for chaos sessions, but the core-failure
         # win must still come from the failover path, not diagnosis.

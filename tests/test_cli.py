@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -160,16 +162,23 @@ class TestServe:
             ]
         )
         capsys.readouterr()
-        assert main(
-            ["top", str(health_path), "--prom", str(prom_path)]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "breaker" in output
-        assert "DEAD" in output  # the crashed board
-        assert "tenant-0" in output
-        prom = prom_path.read_text()
-        assert "cstream_fleet_board_alive" in prom
-        assert "cstream_fleet_tenant_l_set_us_per_byte" in prom
+        # the same report re-serialized compactly (as `jq -c` would)
+        compact_path = tmp_path / "fleet.compact.json"
+        compact_path.write_text(json.dumps(
+            json.loads(health_path.read_text()), separators=(",", ":")
+        ))
+        rendered = []
+        for path in (health_path, compact_path):
+            assert main(["top", str(path), "--prom", str(prom_path)]) == 0
+            output = capsys.readouterr().out
+            assert "breaker" in output
+            assert "DEAD" in output  # the crashed board
+            assert "tenant-0" in output
+            prom = prom_path.read_text()
+            assert "cstream_fleet_board_alive" in prom
+            assert "cstream_fleet_tenant_l_set_us_per_byte" in prom
+            rendered.append((output, prom))
+        assert rendered[0] == rendered[1]
 
     def test_serve_top_flag_prints_dashboard(self, capsys):
         assert main(

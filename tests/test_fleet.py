@@ -8,6 +8,7 @@ check reads from it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 
@@ -36,6 +37,7 @@ from repro.fleet.scenario import (
 from repro.fleet.tenants import build_tenant_catalog, build_tenant_workloads
 from repro.obs.check import validate_fleet_health
 from repro.obs.health import FleetHealth
+from repro.obs.live import fleet_prometheus_text, render_fleet_top
 from repro.obs.registry import REGISTRY
 
 
@@ -403,6 +405,39 @@ class TestHealthReport:
             restored = FleetHealth.from_json(health.to_json())
             assert restored == health
             assert restored.schema_version == 2
+
+    #: sha256 of each arm's report, its Prometheus text and its
+    #: ``cstream top`` rendering: the serializers must not move a byte
+    PINNED = {
+        "static": (
+            "9352fc261736162d785416ea0c7c5b66c656bf735f0c954bd111b13727a165cd",
+            "2a4111abe37c0c0400e7502d1bb0dd607fc720f8a6c6f032df7400df42142b70",
+            "8eec03ebb02d4749bf9e6d1fc6cb5a291179dbe7fe1b98bfcbb1631abb3206b8",
+        ),
+        "shed": (
+            "531e6846d628136512f485f66b4c9333abc1128624076e1841941c74f8161452",
+            "59e8be2037c5901ceb0ca2f2482f1c50d759aafabcb245cae322bfde1ef93fa1",
+            "6d17098e6e44db574bd88321b45d6a350c6a20049943b63321a9f1c90a73e95b",
+        ),
+        "shed-failover": (
+            "584bca78eda0ba251e4a7a18edeb6b3397a556c6d9ea56b695b05b6e6ca4dfb6",
+            "4d783e494ba68c83989664b2dceabcdb7028cbc1a985c449e71f204fc5e8e94d",
+            "5f2126f0ec51c7d44b5176f3d12d8edac5ff07441d7b68f597569d1711595d8c",
+        ),
+    }
+
+    def test_outputs_are_byte_pinned(self, comparison_small):
+        for arm in FLEET_ARMS:
+            health = comparison_small.healths[arm]
+            digests = tuple(
+                hashlib.sha256(text.encode()).hexdigest()
+                for text in (
+                    health.to_json(),
+                    fleet_prometheus_text(health),
+                    render_fleet_top(health),
+                )
+            )
+            assert digests == self.PINNED[arm], arm
 
     def test_flt_invariants_hold(self, comparison_small):
         for arm in FLEET_ARMS:
