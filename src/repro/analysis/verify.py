@@ -1167,8 +1167,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             checked = verify_health({"windows": payload})
         elif schema is SessionHealth:
             checked = verify_health(payload)
-        else:
+        elif isinstance(payload, dict) and isinstance(
+            payload.get("traceEvents"), list
+        ):
             checked = verify_chrome_payload(payload)
+        else:
+            version = (
+                payload.get("schema_version")
+                if isinstance(payload, dict) else None
+            )
+            detail = (
+                f" (unknown schema_version {version!r})"
+                if version is not None else ""
+            )
+            print(
+                f"{path}: neither a trace (no traceEvents list) nor a "
+                f"health report{detail}",
+                file=sys.stderr,
+            )
+            status = 2
+            continue
         for finding in checked:
             all_findings.append((path, finding))
 

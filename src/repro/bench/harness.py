@@ -193,10 +193,10 @@ class Harness:
     # -- cache keys ---------------------------------------------------------
 
     def board_fingerprint(self) -> str:
-        """Stable digest of the board spec (``repr`` covers every field
-        that shapes the simulation). Recomputed per call so a mutated
-        ``harness.board`` can never serve another board's cells."""
-        return stable_digest(repr(self.board), salt="board")[:16]
+        """Stable digest of the board spec (:attr:`BoardSpec.fingerprint`).
+        Read per call so a reassigned ``harness.board`` can never serve
+        another board's cells."""
+        return self.board.fingerprint
 
     def profile_key(self, spec: WorkloadSpec) -> Tuple:
         """Everything :func:`profile_workload` depends on."""

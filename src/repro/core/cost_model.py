@@ -57,7 +57,7 @@ class CalibratedCurves:
 
 #: process-wide memo of fitted curves. The dry-run calibration depends
 #: only on (board, noise, seed) — every field that shapes it is in the
-#: board's repr — yet each workload context used to re-profile and
+#: board's fingerprint — yet each workload context used to re-profile and
 #: re-fit the same curves from scratch, which dominated cold-start cost.
 #: Nothing mutates a :class:`CalibratedCurves` after construction
 #: (frozen dataclass of frozen fits), so sharing one instance across
@@ -69,7 +69,7 @@ def calibrate_curves(
     board: BoardSpec, noise: float = 0.01, seed: int = 0
 ) -> CalibratedCurves:
     """Profile one core of each type and fit Eq 5's piecewise curves."""
-    key = (repr(board), noise, seed)
+    key = (board.fingerprint, noise, seed)
     cached = _CURVE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -399,76 +399,109 @@ class CostModel:
             )
         return latency, energy
 
-    def price(
+    def price_stage(
         self,
+        stage_index: int,
         assignments,
         stage_costs,
         tables: _CostTables,
-    ) -> Tuple[float, float, bool, list, Dict[int, float]]:
-        """Price one plan's replicas: the model's one pricing loop.
+        core_load: Dict[int, float],
+        energy: float,
+        task_latency: float,
+        rows: Optional[list] = None,
+    ) -> Tuple[float, float]:
+        """Fold one stage of a plan into :meth:`price`'s running totals.
 
-        ``assignments`` is a plan's per-stage core tuples and
-        ``stage_costs[s]`` the :meth:`replica_costs` rows for stage
-        ``s`` at its replica count. Per replica the loop adds l_comm
-        per producer stage (ascending), exactly as
-        :meth:`communication_latency` would, and the per-message
-        transfer energy. The paper's Eq 4 prices computation only;
-        shipping a message still draws interconnect/DRAM energy, which
-        the dry-run measurement exposes — pricing it keeps the scheduler
-        honest about uneconomical replication at small batch sizes
-        (Fig 11). Returns ``(L_est, E_est,
-        feasible, rows, core_load)``: ``rows`` holds one ``(stage,
-        replica, core, l_comp, l_comm, energy)`` tuple per replica and
-        ``core_load`` the per-core l_comp sums, which is all
-        :meth:`estimate_from` needs to build the full estimate. The
-        branch-and-bound scores every leaf with this and materializes
-        only the leaves that win.
+        ``assignments`` holds the per-stage core tuples up to and
+        including ``stage_index`` (every producer is placed first: stage
+        indices are a topological order), and ``stage_costs[s]`` the
+        :meth:`replica_costs` rows for stage ``s`` at its replica count.
+        Per replica, in order, the step adds l_comm per producer stage
+        (ascending), exactly as :meth:`communication_latency` would, and
+        the per-message transfer energy. The paper's Eq 4 prices
+        computation only; shipping a message still draws
+        interconnect/DRAM energy, which the dry-run measurement exposes —
+        pricing it keeps the scheduler honest about uneconomical
+        replication at small batch sizes (Fig 11).
+
+        ``core_load`` (per-core l_comp sums) is updated in place; the
+        new ``(energy, task_latency)`` — E_est's left fold and the
+        largest ``l_comp + l_comm`` so far — are returned. ``rows``, when
+        given, receives one ``(stage, replica, core, l_comp, l_comm,
+        energy)`` tuple per replica. The branch-and-bound calls this as
+        it places each stage, so a leaf's totals are :meth:`price`'s bit
+        for bit without pricing the leaf again.
         """
         batch_bytes = self._batch_bytes
         output_bytes = tables.output_bytes
         comm_unit = tables.comm_unit
         comm_overhead = tables.comm_overhead
         comm_energy = tables.comm_energy
-        predecessors = tables.predecessors
-        communication_aware = self.communication_aware
-        rows = []
-        task_latencies = []
-        core_load: Dict[int, float] = {}
-        energy = 0.0
-        for stage_index, cores in enumerate(assignments):
-            replicas = len(cores)
-            latency_row, energy_row = stage_costs[stage_index]
-            producers = (
-                predecessors[stage_index] if communication_aware else ()
-            )
-            for replica_index, core_id in enumerate(cores):
-                l_comp = latency_row[core_id]
-                l_comm = 0.0
-                e_comm = 0.0
-                for producer_stage in producers:
-                    upstream_cores = assignments[producer_stage]
-                    share = (
-                        output_bytes[producer_stage]
-                        / replicas
-                        / len(upstream_cores)
-                    )
-                    total_us = 0.0
-                    total_uj = 0.0
-                    for producer_core in upstream_cores:
-                        total_us += share * comm_unit[producer_core][core_id]
-                        total_us += comm_overhead[producer_core][core_id]
-                        total_uj += comm_energy[producer_core][core_id]
-                    l_comm += total_us / batch_bytes
-                    e_comm += total_uj / batch_bytes
-                task_energy = energy_row[core_id] + e_comm
-                energy += task_energy
-                task_latencies.append(l_comp + l_comm)
+        cores = assignments[stage_index]
+        replicas = len(cores)
+        latency_row, energy_row = stage_costs[stage_index]
+        producers = (
+            tables.predecessors[stage_index]
+            if self.communication_aware else ()
+        )
+        for replica_index, core_id in enumerate(cores):
+            l_comp = latency_row[core_id]
+            l_comm = 0.0
+            e_comm = 0.0
+            for producer_stage in producers:
+                upstream_cores = assignments[producer_stage]
+                share = (
+                    output_bytes[producer_stage]
+                    / replicas
+                    / len(upstream_cores)
+                )
+                total_us = 0.0
+                total_uj = 0.0
+                for producer_core in upstream_cores:
+                    total_us += share * comm_unit[producer_core][core_id]
+                    total_us += comm_overhead[producer_core][core_id]
+                    total_uj += comm_energy[producer_core][core_id]
+                l_comm += total_us / batch_bytes
+                e_comm += total_uj / batch_bytes
+            task_energy = energy_row[core_id] + e_comm
+            energy += task_energy
+            l_task = l_comp + l_comm
+            if l_task > task_latency:
+                task_latency = l_task
+            if rows is not None:
                 rows.append(
                     (stage_index, replica_index, core_id,
                      l_comp, l_comm, task_energy)
                 )
-                core_load[core_id] = core_load.get(core_id, 0.0) + l_comp
-        latency = max(max(task_latencies), max(core_load.values()))
+            core_load[core_id] = core_load.get(core_id, 0.0) + l_comp
+        return energy, task_latency
+
+    def price(
+        self,
+        assignments,
+        stage_costs,
+        tables: _CostTables,
+    ) -> Tuple[float, float, bool, list, Dict[int, float]]:
+        """Price one plan's replicas: a fold of :meth:`price_stage` over
+        its stages, the model's one pricing loop.
+
+        Returns ``(L_est, E_est, feasible, rows, core_load)``: ``rows``
+        holds one ``(stage, replica, core, l_comp, l_comm, energy)``
+        tuple per replica and ``core_load`` the per-core l_comp sums,
+        which is all :meth:`estimate_from` needs to build the full
+        estimate. L_est is the larger of the slowest task and the
+        busiest core (Eqs 2-3).
+        """
+        rows: list = []
+        core_load: Dict[int, float] = {}
+        energy = 0.0
+        task_latency = 0.0
+        for stage_index in range(len(assignments)):
+            energy, task_latency = self.price_stage(
+                stage_index, assignments, stage_costs, tables,
+                core_load, energy, task_latency, rows,
+            )
+        latency = max(task_latency, max(core_load.values()))
         budget = self.guard_band * self.latency_constraint_us_per_byte
         return latency, energy, not latency > budget, rows, core_load
 
@@ -540,7 +573,8 @@ class CostModel:
         """Predict L_est, E_est and feasibility of a plan.
 
         One table fetch, then :meth:`price` and :meth:`estimate_from` —
-        the same loop the branch-and-bound scores its leaves with. The
+        the same per-stage step the branch-and-bound folds down its
+        walk to score its leaves. The
         reductions are Python left folds in replica order, so the result
         is deterministic bit for bit (``tests/test_golden_identity``).
         """

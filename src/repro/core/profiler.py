@@ -249,7 +249,7 @@ def measure_communication(
     pinning a producer thread on one core and a consumer on the other;
     with symmetric cores this reduces to one measurement per path class.
     """
-    cache_key = (repr(board), noise, seed)
+    cache_key = (board.fingerprint, noise, seed)
     cached = _COMMUNICATION_CACHE.get(cache_key)
     if cached is not None:
         return cached

@@ -24,11 +24,15 @@ is already placed. Two structural reductions keep it exact *and* small:
   evaluation, not pruned branches.
 
 Every search fetches the model's cost tables once and reads each
-stage's per-core costs from :meth:`CostModel.replica_costs` rows. A
-leaf is scored by :meth:`CostModel.price` — L_est, E_est and
-feasibility, the loop :meth:`CostModel.evaluate` runs — and only a leaf
-that becomes the new best or fastest plan is materialized into a full
-:class:`~repro.core.plan.PlanEstimate`.
+stage's per-core costs from :meth:`CostModel.replica_costs` rows. As
+the walk places a stage it calls :meth:`CostModel.price_stage`, the step
+:meth:`CostModel.price` folds over a whole plan, and carries the running
+folds (E_est, the slowest task, the per-core loads) down the tree. A
+leaf's L_est, E_est and feasibility are therefore ``price()``'s bit for
+bit, read in O(1) from folds its prefix shares with its siblings. The
+incumbents are kept as ``(L_est, E_est, assignments)``; only the final
+best and fastest plans of a search are priced again and materialized
+into full :class:`~repro.core.plan.PlanEstimate` objects.
 
 Replication follows the paper's *topologically sorted iterative
 scaling*: start with one replica per stage; while no feasible plan
@@ -52,6 +56,9 @@ from repro.obs.registry import REGISTRY
 
 __all__ = ["Scheduler", "ScheduleResult", "SearchStats"]
 
+#: a scored leaf of the walk: (L_est, E_est, per-stage core tuples)
+_Leaf = Tuple[float, float, Tuple[Tuple[int, ...], ...]]
+
 
 @dataclass(frozen=True)
 class SearchStats:
@@ -60,7 +67,7 @@ class SearchStats:
     ``nodes_expanded`` counts per-stage split branches the depth-first
     walk actually descended into; ``branches_pruned`` counts branches
     cut by the energy-floor / latency bound; ``plans_evaluated`` counts
-    complete plans the cost model priced; ``scaling_rounds``
+    complete plans (leaves) scored; ``scaling_rounds``
     counts iterative-scaling restarts; ``wall_clock_s`` is real time.
     """
 
@@ -164,9 +171,9 @@ class Scheduler:
         for count, pool in ((n_little, self._little), (n_big, self._big)):
             if count == 0:
                 continue
-            ordered = sorted(pool, key=lambda c: (load.get(c, 0.0), c))
+            ordered = sorted([(load.get(c, 0.0), c) for c in pool])
             for index in range(count):
-                cores.append(ordered[index % len(ordered)])
+                cores.append(ordered[index % len(ordered)][1])
         return tuple(cores)
 
     # -- search ---------------------------------------------------------------
@@ -241,8 +248,8 @@ class Scheduler:
         """
         model = self.model
         graph = model.graph
-        # One table fetch per search: every leaf and every walk step
-        # reads its per-core costs from these rows.
+        # One table fetch per search: every walk step reads its per-core
+        # costs from these rows.
         tables = model._tables()
         stage_costs = [
             model.replica_costs(stage_index, replicas, tables)
@@ -263,100 +270,108 @@ class Scheduler:
                 + stage_energy_floor[stage_index]
             )
 
-        state = {
-            "best": None,       # best feasible estimate
-            "fastest": None,    # min-latency estimate
-            "evaluated": 0,
-            "expanded": 0,      # branches descended into
-            "pruned": 0,        # branches cut by the bounds
-            "warm_pruned": 0,   # cuts only the incumbent bound enabled
-        }
-
-        def consider(assignments: List[Tuple[int, ...]]) -> None:
-            # Score the leaf first; only a leaf that becomes the new
-            # fastest or best plan is built into a full PlanEstimate.
-            priced = model.price(assignments, stage_costs, tables)
-            latency, energy, feasible = priced[:3]
-            state["evaluated"] += 1
-            fastest = state["fastest"]
-            new_fastest = (
-                fastest is None or latency < fastest.latency_us_per_byte
-            )
-            best = state["best"]
-            new_best = feasible and (
-                best is None
-                or energy < best.energy_uj_per_byte
-                or (
-                    energy == best.energy_uj_per_byte
-                    and latency < best.latency_us_per_byte
-                )
-            )
-            if not (new_fastest or new_best):
-                return
-            plan = SchedulingPlan(graph=graph, assignments=tuple(assignments))
-            estimate = model.estimate_from(plan, priced, tables)
-            if new_fastest:
-                state["fastest"] = estimate
-            if new_best:
-                state["best"] = estimate
+        stage_count = graph.stage_count
+        budget = model.guard_band * model.latency_constraint_us_per_byte
+        price_stage = model.price_stage
+        assign_cores = self._assign_cores
+        # Incumbents are (L_est, E_est, assignments) leaves; only the
+        # final two are built into full estimates.
+        best: Optional[_Leaf] = None       # best feasible leaf
+        fastest: Optional[_Leaf] = None    # min-latency leaf
+        evaluated = 0
+        expanded = 0      # branches descended into
+        pruned = 0        # branches cut by the bounds
+        warm_pruned = 0   # cuts only the incumbent bound enabled
 
         def walk(
             stage_index: int,
             assignments: List[Tuple[int, ...]],
             load: Dict[int, float],
-            partial_energy: float,
+            bound_energy: float,
+            energy: float,
+            task_latency: float,
         ) -> None:
-            if stage_index == graph.stage_count:
-                consider(assignments)
+            # ``load``, ``energy`` and ``task_latency`` are the running
+            # folds of CostModel.price over the placed stages;
+            # ``bound_energy`` sums computation energy stage by stage
+            # for the energy bound.
+            nonlocal best, fastest, evaluated, expanded, pruned, warm_pruned
+            load_peak = max(load.values(), default=0.0)
+            if stage_index == stage_count:
+                # price()'s L_est and verdict, read off the carried folds
+                evaluated += 1
+                latency = max(task_latency, load_peak)
+                new_fastest = fastest is None or latency < fastest[0]
+                new_best = not latency > budget and (
+                    best is None
+                    or energy < best[1]
+                    or (energy == best[1] and latency < best[0])
+                )
+                if new_fastest or new_best:
+                    leaf = (latency, energy, tuple(assignments))
+                    if new_fastest:
+                        fastest = leaf
+                    if new_best:
+                        best = leaf
                 return
-            latency_row, energy_row = stage_costs[stage_index]
+            energy_row = stage_costs[stage_index][1]
+            remaining = remaining_floor[stage_index + 1]
             for split in stage_splits[stage_index]:
-                cores = self._assign_cores(split, load)
-                stage_energy = ordered_sum(energy_row[core] for core in cores)
-                candidate_energy = partial_energy + stage_energy
-                best = state["best"]
-                energy_floor = (
-                    candidate_energy + remaining_floor[stage_index + 1]
-                )
-                beaten_by_best = (
-                    best is not None
-                    and energy_floor >= best.energy_uj_per_byte
-                )
+                cores = assign_cores(split, load)
+                stage_energy = 0.0
+                for core in cores:
+                    stage_energy += energy_row[core]
+                candidate_energy = bound_energy + stage_energy
+                energy_floor = candidate_energy + remaining
+                beaten_by_best = best is not None and energy_floor >= best[1]
                 beaten_by_incumbent = (
                     initial_bound is not None and energy_floor > initial_bound
                 )
-                if (beaten_by_best or beaten_by_incumbent) and state[
-                    "fastest"
-                ] is not None and (
+                if (beaten_by_best or beaten_by_incumbent) and (
                     # The latency incumbent can still improve; only cut
                     # when the branch cannot help either search. A
                     # cheap sufficient condition: the partial core loads
                     # already exceed the fastest plan seen.
-                    max(load.values(), default=0.0)
-                    >= state["fastest"].latency_us_per_byte
+                    fastest is not None and load_peak >= fastest[0]
                 ):
-                    state["pruned"] += 1
+                    pruned += 1
                     if beaten_by_incumbent and not beaten_by_best:
-                        state["warm_pruned"] += 1
+                        warm_pruned += 1
                     continue
-                state["expanded"] += 1
+                expanded += 1
                 new_load = dict(load)
-                for core in cores:
-                    new_load[core] = (
-                        new_load.get(core, 0.0) + latency_row[core]
-                    )
                 assignments.append(cores)
-                walk(stage_index + 1, assignments, new_load, candidate_energy)
+                new_energy, new_task_latency = price_stage(
+                    stage_index, assignments, stage_costs, tables,
+                    new_load, energy, task_latency,
+                )
+                walk(
+                    stage_index + 1, assignments, new_load,
+                    candidate_energy, new_energy, new_task_latency,
+                )
                 assignments.pop()
 
-        walk(0, [], {}, 0.0)
+        walk(0, [], {}, 0.0, 0.0, 0.0)
         self.last_search_counters = {
-            "expanded": state["expanded"],
-            "pruned": state["pruned"],
-            "evaluated": state["evaluated"],
-            "warm_pruned": state["warm_pruned"],
+            "expanded": expanded,
+            "pruned": pruned,
+            "evaluated": evaluated,
+            "warm_pruned": warm_pruned,
         }
-        return state["best"], state["fastest"], state["evaluated"]
+
+        def materialize(leaf: Optional[_Leaf]) -> Optional[PlanEstimate]:
+            if leaf is None:
+                return None
+            assignments = leaf[2]
+            plan = SchedulingPlan(graph=graph, assignments=assignments)
+            priced = model.price(assignments, stage_costs, tables)
+            return model.estimate_from(plan, priced, tables)
+
+        fastest_estimate = materialize(fastest)
+        best_estimate = (
+            fastest_estimate if best is fastest else materialize(best)
+        )
+        return best_estimate, fastest_estimate, evaluated
 
     # -- plan validation ------------------------------------------------------
 

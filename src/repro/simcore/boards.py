@@ -16,6 +16,7 @@ derivation.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple
 
@@ -46,6 +47,10 @@ class BoardSpec:
     core_by_id: Mapping[int, CoreSpec] = field(default=None, repr=False)
     cluster_by_id: Mapping[int, ClusterSpec] = field(default=None, repr=False)
     core_cluster: Mapping[int, int] = field(default=None, repr=False)
+    #: 16-hex digest of the repr (which covers every field that shapes
+    #: the simulation), computed once: the key of the calibration memos
+    #: and of the harness's board cache keys
+    fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.cores:
@@ -68,6 +73,11 @@ class BoardSpec:
         object.__setattr__(self, "core_by_id", core_by_id)
         object.__setattr__(self, "cluster_by_id", cluster_by_id)
         object.__setattr__(self, "core_cluster", core_cluster)
+        # the same digest as repro.bench.cache.stable_digest(repr(self),
+        # salt="board"), so harness cache keys keep their values
+        object.__setattr__(self, "fingerprint", hashlib.sha256(
+            repr(("board", repr(self))).encode("utf-8")
+        ).hexdigest()[:16])
 
     # -- convenience accessors -------------------------------------------
 

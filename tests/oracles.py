@@ -20,7 +20,10 @@ compare both on the same inputs without a second path in the package:
   loops over numpy scalars, drawing the same arrays in the same order;
 * :func:`evaluate_reference` — Eqs 1-7 per replica straight from the
   fitted curves and the communication table, no lookup tables, built
-  on :func:`compute_latency_reference` and :func:`task_energy_reference`.
+  on :func:`compute_latency_reference` and :func:`task_energy_reference`;
+* :func:`search_reference` — the branch-and-bound walk pricing every
+  leaf from scratch with :meth:`CostModel.price` and materializing each
+  leaf that wins, even briefly, into a full estimate.
 """
 
 from __future__ import annotations
@@ -229,6 +232,134 @@ def _finish_reference(model, plan, estimates, core_load) -> PlanEstimate:
         core_load_us_per_byte=core_load,
         critical_path_us_per_byte=path_to[plan.graph.stage_count - 1],
     )
+
+
+def _assign_cores_reference(scheduler, split, load):
+    """Least-loaded cluster cores first, ties to the lower core id."""
+    cores = []
+    for count, pool in (
+        (split[0], scheduler._little), (split[1], scheduler._big)
+    ):
+        if count == 0:
+            continue
+        ordered = sorted(pool, key=lambda c: (load.get(c, 0.0), c))
+        for index in range(count):
+            cores.append(ordered[index % len(ordered)])
+    return tuple(cores)
+
+
+def search_reference(scheduler, replica_counts, initial_bound=None):
+    """:meth:`Scheduler.search` with every leaf priced from scratch.
+
+    The same depth-first walk over per-stage cluster splits with the
+    same energy and latency bounds, but each leaf is scored by a full
+    :meth:`CostModel.price` over its assignments, and every leaf that
+    becomes the new best or fastest plan is built into a
+    :class:`PlanEstimate` on the spot. Returns ``(best, fastest,
+    evaluated, counters)``, ``counters`` shaped like
+    :attr:`Scheduler.last_search_counters`.
+    """
+    model = scheduler.model
+    graph = model.graph
+    tables = model._tables()
+    stage_costs = [
+        model.replica_costs(stage_index, replicas, tables)
+        for stage_index, replicas in enumerate(replica_counts)
+    ]
+    stage_splits = [
+        list(scheduler._stage_placements(r)) for r in replica_counts
+    ]
+    remaining_floor = [0.0] * (graph.stage_count + 1)
+    for stage_index in range(graph.stage_count - 1, -1, -1):
+        energy_row = stage_costs[stage_index][1]
+        minima = []
+        for split in stage_splits[stage_index]:
+            total = 0.0
+            for core in _assign_cores_reference(scheduler, split, {}):
+                total += energy_row[core]
+            minima.append(total)
+        remaining_floor[stage_index] = remaining_floor[stage_index + 1] + (
+            min(minima) if minima else 0.0
+        )
+    state = {
+        "best": None, "fastest": None,
+        "evaluated": 0, "expanded": 0, "pruned": 0, "warm_pruned": 0,
+    }
+
+    def consider(assignments):
+        priced = model.price(assignments, stage_costs, tables)
+        latency, energy, feasible = priced[:3]
+        state["evaluated"] += 1
+        fastest = state["fastest"]
+        new_fastest = (
+            fastest is None or latency < fastest.latency_us_per_byte
+        )
+        best = state["best"]
+        new_best = feasible and (
+            best is None
+            or energy < best.energy_uj_per_byte
+            or (
+                energy == best.energy_uj_per_byte
+                and latency < best.latency_us_per_byte
+            )
+        )
+        if not (new_fastest or new_best):
+            return
+        plan = SchedulingPlan(graph=graph, assignments=tuple(assignments))
+        estimate = model.estimate_from(plan, priced, tables)
+        if new_fastest:
+            state["fastest"] = estimate
+        if new_best:
+            state["best"] = estimate
+
+    def walk(stage_index, assignments, load, partial_energy):
+        if stage_index == graph.stage_count:
+            consider(assignments)
+            return
+        latency_row, energy_row = stage_costs[stage_index]
+        for split in stage_splits[stage_index]:
+            cores = _assign_cores_reference(scheduler, split, load)
+            stage_energy = 0.0
+            for core in cores:
+                stage_energy += energy_row[core]
+            energy_floor = (
+                partial_energy + stage_energy
+                + remaining_floor[stage_index + 1]
+            )
+            best = state["best"]
+            beaten_by_best = (
+                best is not None and energy_floor >= best.energy_uj_per_byte
+            )
+            beaten_by_incumbent = (
+                initial_bound is not None and energy_floor > initial_bound
+            )
+            if (beaten_by_best or beaten_by_incumbent) and state[
+                "fastest"
+            ] is not None and (
+                max(load.values(), default=0.0)
+                >= state["fastest"].latency_us_per_byte
+            ):
+                state["pruned"] += 1
+                if beaten_by_incumbent and not beaten_by_best:
+                    state["warm_pruned"] += 1
+                continue
+            state["expanded"] += 1
+            new_load = dict(load)
+            for core in cores:
+                new_load[core] = new_load.get(core, 0.0) + latency_row[core]
+            assignments.append(cores)
+            walk(
+                stage_index + 1, assignments, new_load,
+                partial_energy + stage_energy,
+            )
+            assignments.pop()
+
+    walk(0, [], {}, 0.0)
+    counters = {
+        key: state[key]
+        for key in ("expanded", "pruned", "evaluated", "warm_pruned")
+    }
+    return state["best"], state["fastest"], state["evaluated"], counters
 
 
 class Lz4Reference(Lz4):

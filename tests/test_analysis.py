@@ -837,6 +837,23 @@ class TestVerifyCli:
         assert verify_main([str(path)]) == 2
         capsys.readouterr()
 
+    def test_empty_object_is_neither_trace_nor_report(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "empty.json"
+        path.write_text("{}")
+        assert verify_main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "neither a trace" in err and "nor a health report" in err
+
+    def test_unknown_schema_version_is_named(self, tmp_path, capsys):
+        path = tmp_path / "future.json"
+        path.write_text(json.dumps({"schema_version": 9, "windows": []}))
+        assert verify_main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "neither a trace" in err
+        assert "unknown schema_version 9" in err
+
 
 class TestAnalyzeSubcommand:
     def test_analyze_defaults_to_package_and_is_clean(self, capsys):

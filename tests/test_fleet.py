@@ -326,6 +326,41 @@ class TestSharedPlanCache:
         run_fleet_arm(spec, "shed-failover")
         assert REGISTRY.counter("scheduler.schedules") - before == 49
 
+    #: sha256 over every (tenant, board kind) placement plan of the 6x12
+    #: board-crash scenario: assignments, repr of L_est and E_est, and
+    #: the search counters without wall-clock; recorded before the
+    #: branch-and-bound scored leaves from its walk's pricing folds
+    PLANS_SHA256 = (
+        "6bb669614872f27e3e61fd36613163561704dc590d99b54823981a64b5e6598e"
+    )
+
+    def test_large_crash_plans_are_pinned(self):
+        spec = FleetScenarioSpec(boards=6, tenants=12)
+        boards = build_fleet(spec.boards)
+        workloads = build_tenant_workloads(
+            build_tenant_catalog(spec.tenants, seed=spec.seed),
+            seed=spec.seed,
+        )
+        scheduler = FleetScheduler(workloads, boards, seed=spec.seed)
+        for arm in FLEET_ARMS:
+            run_fleet_arm(spec, arm, workloads=workloads, boards=boards,
+                          scheduler=scheduler)
+        lines = []
+        for (tenant, kind), result in sorted(scheduler._schedules.items()):
+            estimate = result.estimate
+            stats = [
+                pair for pair in result.search_stats.as_pairs()
+                if pair[0] != "wall_clock_s"
+            ]
+            lines.append(
+                f"{tenant} {kind} {estimate.plan.assignments} "
+                f"{estimate.latency_us_per_byte!r} "
+                f"{estimate.energy_uj_per_byte!r} {stats}"
+            )
+        assert len(lines) == spec.tenants * len(set(b.kind for b in boards))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.PLANS_SHA256
+
 
 class TestFailoverPricing:
     def test_state_bytes_scale_prices_failover_migration(self):

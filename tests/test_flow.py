@@ -17,6 +17,8 @@ import json
 import os
 import textwrap
 
+import pytest
+
 import repro
 from repro.analysis import callgraph, flow
 from repro.analysis.flow import (
@@ -773,20 +775,33 @@ class TestCallGraph:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def repo_report():
+    """One whole-tree analysis shared by the dogfood tests."""
+    return analyze(REPRO_ROOT)
+
+
 class TestDogfood:
-    def test_repo_is_flow_clean(self, capsys):
+    def test_repo_is_flow_clean(self, repo_report, monkeypatch, capsys):
+        # flow_main renders the shared report instead of re-analyzing
+        roots = []
+
+        def shared(root, cache_path=None):
+            roots.append(root)
+            return repo_report
+
+        monkeypatch.setattr(flow, "analyze", shared)
         assert flow_main([REPRO_ROOT]) == 0
+        assert roots == [REPRO_ROOT]
         out = capsys.readouterr().out
         assert "clean" in out
 
-    def test_every_repo_contract_is_justified(self):
-        report = analyze(REPRO_ROOT)
-        for qualname, reason in report.contracts.items():
+    def test_every_repo_contract_is_justified(self, repo_report):
+        for qualname, reason in repo_report.contracts.items():
             assert reason, f"{qualname} carries an unjustified det: pure"
 
-    def test_entry_points_anchor_in_the_real_tree(self):
-        report = analyze(REPRO_ROOT)
-        names = " ".join(report.entry_points)
+    def test_entry_points_anchor_in_the_real_tree(self, repo_report):
+        names = " ".join(repo_report.entry_points)
         assert "Scheduler.schedule" in names
         assert "PipelineExecutor.run" in names
         assert "Simulator.run" in names

@@ -11,6 +11,10 @@ plans and randomized payloads rather than only the curated fixtures:
   per-search replica rows) is evaluate()'s L_est, E_est and
   feasibility bit for bit, on chain and fork-join plans, and a fixed
   set of searches walks the tree it walked before leaf scoring;
+* :meth:`Scheduler.search`, which scores leaves from the folds its walk
+  carries, returns the plans and counters of the per-leaf-pricing
+  search on randomized replica counts, budgets, core subsets, blind
+  models and incumbent bounds;
 * lz4's numpy prefix words and hashing equal the scalar 4-byte reads
   and hash at every position, and its word-compare scan equals the
   slice-compare encoder;
@@ -59,6 +63,7 @@ from tests.oracles import (
     hash4,
     micro_symbol_reference,
     predict_reference,
+    search_reference,
     sensor_reference,
     stock_reference,
     task_energy_reference,
@@ -377,6 +382,69 @@ def test_search_stats_pinned(context, dag_contexts):
     assert _pinned_schedule_calls(context, dag_contexts) == (
         PINNED_SEARCH_STATS
     )
+
+
+class TestSearchParity:
+    """search() scores each leaf from the pricing folds its walk carries
+    and builds only the final winners; the oracle prices every leaf from
+    scratch. Same best and fastest estimates, same tree walked."""
+
+    def _check(self, ctx, seed, count=16):
+        from repro.core.scheduler import Scheduler
+
+        rng = random.Random(seed)
+        graph = ctx.fine_graph
+        core_ids = [core.core_id for core in ctx.board.cores]
+        seen = set()
+        for _ in range(count):
+            model = ctx.cost_model(
+                graph, communication_aware=rng.random() < 0.75
+            )
+            allowed = None
+            if rng.random() < 0.4:
+                allowed = rng.sample(core_ids, rng.randint(2, len(core_ids)))
+            scheduler = Scheduler(model, allowed_cores=allowed)
+            replica_counts = tuple(
+                rng.randint(1, 3) for _ in range(graph.stage_count)
+            )
+            # a budget around the fastest leaf keeps both verdicts
+            _, fastest, _, _ = search_reference(scheduler, replica_counts)
+            model.latency_constraint_us_per_byte = (
+                fastest.latency_us_per_byte * rng.uniform(0.9, 1.5)
+                / model.guard_band
+            )
+            bound = None
+            if rng.random() < 0.5:
+                bound = fastest.energy_uj_per_byte * rng.uniform(0.6, 1.4)
+            best, fastest, evaluated, counters = search_reference(
+                scheduler, replica_counts, bound
+            )
+            assert scheduler.search(replica_counts, initial_bound=bound) == (
+                best, fastest, evaluated
+            )
+            assert scheduler.last_search_counters == counters
+            seen.add((
+                best is not None,
+                bound is not None,
+                model.communication_aware,
+                allowed is not None,
+            ))
+            if counters["warm_pruned"]:
+                seen.add("warm_pruned")
+        # the draws reach every arm the walk distinguishes
+        assert {key[0] for key in seen if key != "warm_pruned"} == {
+            True, False
+        }
+        assert "warm_pruned" in seen
+        assert len(seen) >= 6
+
+    def test_chain(self, context):
+        self._check(context, seed=53)
+
+    @pytest.mark.parametrize("codec", ["unlz4", "mltc"])
+    def test_dag(self, dag_contexts, codec):
+        assert not dag_contexts[codec].fine_graph.is_chain
+        self._check(dag_contexts[codec], seed=59)
 
 
 def _payloads():
